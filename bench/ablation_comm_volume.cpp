@@ -1,11 +1,11 @@
 // Ablation: measured communication volume per training iteration vs K-FAC
 // update interval — the mechanism behind K-FAC-opt's scaling advantage
 // (paper §IV-C: skip iterations perform no K-FAC communication at all) —
-// plus dense vs symmetry-packed factor-allreduce volume.
+// plus the symmetry-packed factor-allreduce volume against its dense
+// equivalent.
 //
 // Runs real distributed training (4 thread ranks) and reads the
 // communicator byte counters.
-#include <cmath>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -20,14 +20,13 @@ int main() {
   const int world = 4;
   const int epochs = 2;
 
-  auto run = [&](bool use_kfac, int freq, kfac::DistributionStrategy strategy,
-                 bool symmetric_comm = true) -> train::TrainResult {
+  auto run = [&](bool use_kfac, int freq,
+                 kfac::DistributionStrategy strategy) -> train::TrainResult {
     train::TrainConfig config = bench::bench_train_config(epochs, 0.05f, use_kfac);
     config.local_batch = 32;
     if (use_kfac) {
       config.kfac.with_update_freq(freq);
       config.kfac.strategy = strategy;
-      config.kfac.symmetric_comm = symmetric_comm;
     }
     return train::train_distributed(factory, spec, config, world);
   };
@@ -39,6 +38,9 @@ int main() {
   std::printf("%-34s %14s %16s\n", "configuration", "bytes/iter", "vs SGD");
   std::printf("%-34s %14.0f %15.2fx\n", "SGD only", sgd_per_iter, 1.0);
 
+  // The freq=1 run ships factors every iteration; the packing section
+  // below reads its factor counters.
+  train::TrainResult every_step;
   for (int freq : {1, 5, 10, 20}) {
     const train::TrainResult result =
         run(true, freq, kfac::DistributionStrategy::kFactorWise);
@@ -46,6 +48,7 @@ int main() {
         static_cast<double>(result.comm_stats.total_bytes()) / result.iterations;
     std::printf("K-FAC-opt freq=%-18d %14.0f %15.2fx\n", freq, per_iter,
                 per_iter / sgd_per_iter);
+    if (freq == 1) every_step = result;
   }
   const train::TrainResult lw = run(true, 10, kfac::DistributionStrategy::kLayerWise);
   const double lw_per_iter =
@@ -57,36 +60,27 @@ int main() {
               "the interval grows; K-FAC-lw stays elevated because it "
               "exchanges preconditioned gradients every iteration.\n");
 
-  // ---- dense vs symmetry-packed factor allreduce ------------------------
+  // ---- symmetry-packed factor allreduce vs its dense equivalent ----------
   // Every Kronecker factor is symmetric, so shipping the upper triangle
-  // cuts the factor payload to n(n+1)/2 of n² per factor. freq=1 makes
-  // factors ship every iteration so the counters isolate that payload.
+  // cuts the factor payload to n(n+1)/2 of n² per factor; the dense
+  // counter records what the unpacked payload would have been.
   bench::print_banner("Ablation",
                       "Dense vs symmetry-packed factor-allreduce volume");
-  const train::TrainResult dense =
-      run(true, 1, kfac::DistributionStrategy::kFactorWise, false);
-  const train::TrainResult packed =
-      run(true, 1, kfac::DistributionStrategy::kFactorWise, true);
-
-  const auto per_iter = [](uint64_t bytes, const train::TrainResult& r) {
-    return static_cast<double>(bytes) / static_cast<double>(r.iterations);
+  const auto per_iter = [&](uint64_t bytes) {
+    return static_cast<double>(bytes) /
+           static_cast<double>(every_step.iterations);
   };
-  const double dense_bytes = per_iter(dense.comm_stats.factor_packed_bytes, dense);
-  const double packed_bytes = per_iter(packed.comm_stats.factor_packed_bytes, packed);
+  const double dense_bytes = per_iter(every_step.comm_stats.factor_dense_bytes);
+  const double packed_bytes =
+      per_iter(every_step.comm_stats.factor_packed_bytes);
   const double ratio = packed_bytes / dense_bytes;
   std::printf("%-34s %14s %16s\n", "factor payload", "bytes/iter", "vs dense");
   std::printf("%-34s %14.0f %15.2f%%\n", "dense n^2", dense_bytes, 100.0);
   std::printf("%-34s %14.0f %15.2f%%\n", "packed n(n+1)/2", packed_bytes,
               100.0 * ratio);
 
-  const float acc_delta =
-      std::fabs(packed.final_val_accuracy - dense.final_val_accuracy);
-  std::printf("\nfinal val accuracy: dense %.4f, packed %.4f (|delta| %.4f)\n",
-              dense.final_val_accuracy, packed.final_val_accuracy, acc_delta);
   const bool volume_ok = ratio <= 0.56;
-  const bool outputs_ok = acc_delta <= 0.01f;
-  std::printf("check: packed volume <= 56%% of dense: %s; outputs match to "
-              "float tolerance: %s\n",
-              volume_ok ? "PASS" : "FAIL", outputs_ok ? "PASS" : "FAIL");
-  return volume_ok && outputs_ok ? 0 : 1;
+  std::printf("\ncheck: packed volume <= 56%% of dense: %s\n",
+              volume_ok ? "PASS" : "FAIL");
+  return volume_ok ? 0 : 1;
 }

@@ -3,8 +3,8 @@
 // Every bench binary regenerates one table or figure from the paper and
 // prints (a) the paper's reported values and (b) this repository's
 // reproduction, so the two can be compared line by line. Measured-training
-// benches run scaled-down workloads (see DESIGN.md substitutions); the
-// at-scale benches are driven by the calibrated performance model.
+// benches run scaled-down workloads; the at-scale benches are driven by the
+// calibrated performance model.
 #pragma once
 
 #include <cstdio>

@@ -2,7 +2,7 @@
 // the target accuracy in fewer epochs than SGD (55 vs 90 in the paper;
 // K-FAC hits the 75.9% baseline at epoch 43 vs SGD's epoch 76).
 //
-// Measured here on the ImageNet stand-in (see DESIGN.md): the reproduced
+// Measured here on the ImageNet stand-in: the reproduced
 // quantity is the *epoch ratio* at which each optimizer reaches a common
 // target, not the absolute 75.9%.
 #include <cstdio>

@@ -13,7 +13,7 @@ int main() {
   dkfac::bench::print_note(
       "paper: K-FAC-opt beats SGD by 4.9-8.2% up to 128 GPUs and is 11.1% "
       "slower at 256 GPUs (deviation: our model bottoms out at a small "
-      "positive margin instead of crossing negative — see EXPERIMENTS.md)");
+      "positive margin instead of crossing negative)");
   dkfac::sim::ClusterSim sim(dkfac::sim::resnet_imagenet_arch(152));
   std::printf("%-6s %10s %12s %12s %10s %10s\n", "GPUs", "SGD(min)", "K-FAC-lw",
               "K-FAC-opt", "lw vs SGD", "opt vs SGD");

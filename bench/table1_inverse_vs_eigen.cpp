@@ -1,6 +1,6 @@
 // Table I: validation accuracy of SGD vs K-FAC-with-explicit-inverse vs
 // K-FAC-with-eigendecomposition as the batch size grows (measured training
-// on the scaled-down CIFAR stand-in; see DESIGN.md substitutions).
+// on the scaled-down CIFAR stand-in).
 //
 // Paper shape to reproduce: the explicit-inverse variant degrades as the
 // batch grows and falls below SGD; the eigendecomposition variant stays at

@@ -3,8 +3,8 @@
 // The per-step comm path used to be a copy chain — dense factor →
 // SymmetricPacker triangle (vector) → Codec 16-bit payload (vector) →
 // FusionBuffer staging chunk (vector) — with each hop both a memcpy and,
-// on first touch or after release_staging(), a heap allocation. Arena and
-// BufferView replace that chain with views over ONE long-lived allocation:
+// on first touch, a heap allocation. Arena and BufferView replace that
+// chain with views over ONE long-lived allocation:
 //
 //   Arena       cache-line-aligned, thread-safe bump allocator owning the
 //               long-lived comm buffers. Blocks are never freed while the

@@ -47,8 +47,9 @@ void AsyncExecutor::submit(const BufferView& view, ReduceOp op) {
 }
 
 void AsyncExecutor::wait() {
-  // Span brackets the same interval as stats_.wait_seconds, so the trace
-  // aggregate and the timer agree (derive_overlap relies on that).
+  // The span shows this wait on the trace timeline. Its aggregate is per
+  // process (every thread rank summed), so overlap metrics read the
+  // per-rank stats_.wait_seconds timer instead (obs::derive_overlap).
   DKFAC_TRACE_SCOPE("comm.async.wait");
   const auto start = Clock::now();
   std::unique_lock<std::mutex> lock(mutex_);
@@ -85,7 +86,8 @@ void AsyncExecutor::execute_batch(std::vector<Item>& batch,
   if (!failed) {
     try {
       for (const Item& item : batch) fusion_.add(item.view);
-      // Span brackets the same interval as stats_.comm_seconds (see wait()).
+      // Trace-timeline marker only; overlap metrics read the per-rank
+      // stats_.comm_seconds timer (see wait()).
       DKFAC_TRACE_SCOPE_NAMED(flush_span, "comm.async.flush");
       if (flush_span.active()) {
         flush_span.set_arg("bytes", batch_bytes);

@@ -124,19 +124,19 @@ struct CommStats {
 
   // Kronecker-factor exchange accounting (filled by KfacPreconditioner) —
   // the full reduction chain dense → packed → encoded: the bytes a dense
-  // n×n FP32 factor allreduce would have shipped, the bytes after
-  // structural packing (upper triangles when symmetric_comm is on), and
-  // the bytes that actually entered the collective after the precision
-  // codec (16-bit payloads when factor_precision is fp16/bf16; equal to
-  // packed at fp32). factor_encoded_bytes is already included in
-  // allreduce_bytes, so dense − encoded is the total reduction won.
+  // n×n FP32 factor allreduce would have shipped, the bytes after packing
+  // each factor's upper triangle, and the bytes that actually entered the
+  // collective after the precision codec (16-bit payloads when
+  // factor_precision is fp16/bf16; equal to packed at fp32).
+  // factor_encoded_bytes is already included in allreduce_bytes, so
+  // dense − encoded is the total reduction won.
   uint64_t factor_dense_bytes = 0;
   uint64_t factor_packed_bytes = 0;
   uint64_t factor_encoded_bytes = 0;
 
   // Decomposition-allgather accounting: the bytes this rank's dense
   // decomposition send would take vs the bytes it actually sent
-  // (triangle-packed explicit inverses when symmetric_comm is on). Same
+  // (triangle-packed explicit inverses, codec-encoded at 16 bits). Same
   // per-rank-send convention as allgather_bytes, which these are part of.
   uint64_t decomp_dense_bytes = 0;
   uint64_t decomp_packed_bytes = 0;
@@ -169,20 +169,13 @@ class Communicator {
   /// contributions are combined in rank order on every rank.
   virtual void allreduce(std::span<float> data, ReduceOp op) = 0;
 
-  /// Concatenation of every rank's contribution in rank order. Sizes may
-  /// differ per rank (allgatherv semantics, like Horovod's allgather).
-  virtual std::vector<float> allgather(std::span<const float> send) = 0;
-
-  /// allgather into a caller-owned buffer (resized to fit), so repeated
-  /// gathers of a fixed shape reuse one allocation instead of returning a
-  /// fresh vector per call — the zero-steady-state-allocation contract of
-  /// the encoded reduction path. Backends override this as the primary
-  /// implementation (allgather() wraps it); the default forwards to
-  /// allgather() so minimal Communicator implementations keep working.
+  /// Concatenation of every rank's contribution in rank order, written to
+  /// a caller-owned buffer (resized to fit). Sizes may differ per rank
+  /// (allgatherv semantics, like Horovod's allgather). Repeated gathers of
+  /// a fixed shape reuse the buffer's capacity instead of reallocating it
+  /// (the K-FAC gathers and the encoded reduction keep one each).
   virtual void allgather_into(std::span<const float> send,
-                              std::vector<float>& recv) {
-    recv = allgather(send);
-  }
+                              std::vector<float>& recv) = 0;
 
   /// Copies `data` from `root` to all ranks.
   virtual void broadcast(std::span<float> data, int root) = 0;
@@ -195,8 +188,8 @@ class Communicator {
   /// encoded contribution is gathered verbatim (byte-exact transport),
   /// decoded to fp32, folded in rank order — the same fold as
   /// allreduce() — and the identical result is re-encoded on every rank.
-  /// One definition over the virtual allgather serves every backend, so
-  /// thread and socket runs stay bitwise identical to each other at any
+  /// One definition over the virtual allgather_into serves every backend,
+  /// so thread and socket runs stay bitwise identical to each other at any
   /// precision. Counted in allreduce_calls/bytes (at the encoded size),
   /// like the lossless collective it replaces.
   ///
@@ -226,17 +219,13 @@ class Communicator {
 
   /// Records one factor exchange along the full reduction chain:
   /// `dense_bytes` is the dense n×n FP32 payload, `packed_bytes` the
-  /// payload after structural packing (equal to dense when packing is
-  /// off), `encoded_bytes` what actually entered the collective after the
-  /// precision codec (equal to packed at fp32).
+  /// payload after triangle packing, `encoded_bytes` what actually entered
+  /// the collective after the precision codec (equal to packed at fp32).
   void record_factor_volume(uint64_t dense_bytes, uint64_t packed_bytes,
                             uint64_t encoded_bytes) {
     stats_.factor_dense_bytes += dense_bytes;
     stats_.factor_packed_bytes += packed_bytes;
     stats_.factor_encoded_bytes += encoded_bytes;
-  }
-  void record_factor_volume(uint64_t dense_bytes, uint64_t packed_bytes) {
-    record_factor_volume(dense_bytes, packed_bytes, packed_bytes);
   }
 
   /// Records one decomposition allgather: `dense_bytes` is the dense
@@ -285,12 +274,6 @@ class SelfComm final : public Communicator {
     stats_.allreduce_calls++;
     stats_.allreduce_bytes += data.size_bytes();
     (void)op;
-  }
-
-  std::vector<float> allgather(std::span<const float> send) override {
-    std::vector<float> out;
-    allgather_into(send, out);
-    return out;
   }
 
   void allgather_into(std::span<const float> send,

@@ -317,12 +317,6 @@ void SocketComm::pipelined_ring_allreduce(std::span<float> data, ReduceOp op) {
   }
 }
 
-std::vector<float> SocketComm::allgather(std::span<const float> send) {
-  std::vector<float> out;
-  allgather_into(send, out);
-  return out;
-}
-
 void SocketComm::allgather_into(std::span<const float> send,
                                 std::vector<float>& recv) {
   stats_.allgather_calls++;

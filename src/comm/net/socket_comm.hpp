@@ -107,7 +107,6 @@ class SocketComm final : public Communicator {
   const CostModel& cost_model() const override { return options_.cost; }
 
   void allreduce(std::span<float> data, ReduceOp op) override;
-  std::vector<float> allgather(std::span<const float> send) override;
   void allgather_into(std::span<const float> send,
                       std::vector<float>& recv) override;
   void broadcast(std::span<float> data, int root) override;

@@ -46,12 +46,6 @@ void ThreadComm::allreduce(std::span<float> data, ReduceOp op) {
   st.barrier.arrive_and_wait();
 }
 
-std::vector<float> ThreadComm::allgather(std::span<const float> send) {
-  std::vector<float> out;
-  allgather_into(send, out);
-  return out;
-}
-
 void ThreadComm::allgather_into(std::span<const float> send,
                                 std::vector<float>& recv) {
   auto& st = *state_;

@@ -78,7 +78,6 @@ class ThreadComm final : public Communicator {
   }
 
   void allreduce(std::span<float> data, ReduceOp op) override;
-  std::vector<float> allgather(std::span<const float> send) override;
   void allgather_into(std::span<const float> send,
                       std::vector<float>& recv) override;
   void broadcast(std::span<float> data, int root) override;

@@ -69,12 +69,6 @@ struct KfacOptions {
   /// k·n+k. 1.0 = exact (default).
   float eigen_rank_fraction = 1.0f;
 
-  /// Ship only the upper triangle of each (symmetric) Kronecker factor in
-  /// the fused allreduce — n(n+1)/2 instead of n² elements per factor, at
-  /// most ~55% of the dense payload for real layer sizes. The unpack step
-  /// mirrors the triangle, so factors also stay exactly symmetric.
-  bool symmetric_comm = true;
-
   /// Wire precision of the factor exchange and decomposition allgather
   /// (lossy-compression extension, the paper's §VII future work): fp16 or
   /// bf16 payloads halve the bytes SymmetricPacker/rank-truncation leave,

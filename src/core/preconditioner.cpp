@@ -1,5 +1,6 @@
 #include "core/preconditioner.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "comm/cost_model.hpp"
@@ -166,17 +167,16 @@ void KfacPreconditioner::update_factors() {
   }
   DKFAC_TRACE_SCOPE_NAMED(comm_span, "kfac.factor_comm");
 
-  // Allreduce all factors — Algorithm 1 line 8. With symmetric_comm only
-  // the upper triangle of each factor is shipped (n(n+1)/2 of n²
-  // elements); with a lossy factor_precision the payload is additionally
-  // codec-encoded to 16-bit before it enters the pipeline (quantised ONCE
-  // on this rank; the collective gathers contributions verbatim and folds
-  // in fp32 — see Communicator::allreduce_encoded). With an attached
-  // executor and overlap_comm, views are submitted to the background
-  // pipeline instead of reduced in place: the exchange overlaps the
-  // preconditioning GEMMs and the next iteration's compute, and
-  // finish_factor_comm() decodes/folds it in right before the next
-  // consumer.
+  // Allreduce all factors — Algorithm 1 line 8. Every factor is symmetric,
+  // so only its upper triangle is shipped (n(n+1)/2 of n² elements); with
+  // a lossy factor_precision the triangles are additionally codec-encoded
+  // to 16-bit before they enter the pipeline (quantised ONCE on this rank;
+  // the collective gathers contributions verbatim and folds in fp32 — see
+  // Communicator::allreduce_encoded). With an attached executor and
+  // overlap_comm, views are submitted to the background pipeline instead
+  // of reduced in place: the exchange overlaps the preconditioning GEMMs
+  // and the next iteration's compute, and finish_factor_comm() decodes/
+  // folds it in right before the next consumer.
   //
   // Zero-copy transport: every staged representation lives in ONE arena
   // slot. Triangles are packed into it at their packed offsets; a lossy
@@ -188,27 +188,43 @@ void KfacPreconditioner::update_factors() {
   // back-to-back slices of the slot, so the fusion buffer reduces the slot
   // memory directly — no staging copy — and finish_factor_comm() decodes
   // (descending, expanding backward) and unpacks from the same slot.
-  uint64_t dense_bytes = 0;
-  for (int64_t d : factor_dims_) {
-    dense_bytes += static_cast<uint64_t>(d * d) * sizeof(float);
-  }
   const bool async = executor_ != nullptr && options_.overlap_comm;
   const comm::Precision prec = options_.factor_precision;
-  const int64_t num_factors = static_cast<int64_t>(factor_dims_.size());
+  const bool lossy = prec != comm::Precision::kFp32;
 
+  uint64_t dense_bytes = 0;
   int64_t packed_elements = 0;
-  int64_t encoded_elements = 0;
   uint64_t shipped_bytes = 0;
-  for (int64_t f = 0; f < num_factors; ++f) {
-    const int64_t count = factor_payload_elements(f);
+  for (int64_t d : factor_dims_) {
+    const int64_t count = comm::SymmetricPacker::packed_size(d);
+    dense_bytes += static_cast<uint64_t>(d * d) * sizeof(float);
     packed_elements += count;
-    encoded_elements += comm::Codec::encoded_floats(count);
     shipped_bytes += comm::Codec::wire_bytes(count, prec);
   }
-  const uint64_t packed_bytes =
-      static_cast<uint64_t>(packed_elements) * sizeof(float);
 
-  auto submit_view = [&](const comm::BufferView& view) {
+  // Carve this exchange's slot. Same shape every exchange → the arena
+  // rewind hands back the same block, allocation-free once warm.
+  arena_.reset();
+  exchange_slot_ = arena_.alloc(static_cast<size_t>(packed_elements), prec,
+                                comm::BufferLayout::kTrianglePacked);
+  const std::span<float> slot = exchange_slot_.span();
+  size_t packed_offset = 0;
+  size_t encoded_offset = 0;
+  for (int64_t f = 0; f < static_cast<int64_t>(factor_dims_.size()); ++f) {
+    const auto count = static_cast<size_t>(
+        comm::SymmetricPacker::packed_size(factor(f).dim));
+    const auto enc_count = static_cast<size_t>(
+        comm::Codec::encoded_floats(static_cast<int64_t>(count)));
+    const std::span<float> triangle = slot.subspan(packed_offset, count);
+    comm::SymmetricPacker::pack(factor(f).cov, triangle);
+    comm::BufferView view = exchange_slot_.subview(packed_offset, count);
+    if (lossy) {
+      // In-place shrink: encoded offset ≤ packed offset, always.
+      comm::Codec::encode(triangle, slot.subspan(encoded_offset, enc_count),
+                          prec);
+      view = exchange_slot_.subview(encoded_offset, enc_count, prec,
+                                    comm::BufferLayout::kEncoded);
+    }
     // Submitting per factor pipelines each view's reduction behind the
     // packing/encoding of the next one.
     if (async) {
@@ -216,84 +232,24 @@ void KfacPreconditioner::update_factors() {
     } else {
       fusion_.add(view);
     }
-  };
-  auto launch = [&]() {
-    if (async) {
-      // The executor's worker resolves the views while this thread keeps
-      // computing: pin the arena so a stray reset cannot recycle the slot
-      // under the in-flight collective.
-      arena_.pin();
-      factor_comm_pending_ = true;
-    } else {
-      fusion_.execute(comm::ReduceOp::kAverage);
-      finish_factor_comm();  // shares the decode + unpack path
-    }
-  };
-
-  if (prec == comm::Precision::kFp32 && !options_.symmetric_comm) {
-    // Dense fp32 path: each factor's storage is reduced in place — no slot,
-    // no staged representation at all.
-    for (int64_t f = 0; f < num_factors; ++f) {
-      submit_view(comm::BufferView(factor(f).cov.span()));
-    }
-    launch();
-    report_.factor_comm_bytes = dense_bytes;
+    packed_offset += count;
+    encoded_offset += enc_count;
+  }
+  exchange_live_ = true;
+  if (async) {
+    // The executor's worker resolves the views while this thread keeps
+    // computing: pin the arena so a stray reset cannot recycle the slot
+    // under the in-flight collective.
+    arena_.pin();
+    factor_comm_pending_ = true;
   } else {
-    // Carve this exchange's slot. Same shape every exchange → the arena
-    // rewind hands back the same block, allocation-free once warm.
-    arena_.reset();
-    const bool lossy = prec != comm::Precision::kFp32;
-    // Dense-source lossy (!symmetric_comm) needs only the encoded image;
-    // triangle sources need the full packed image (encode shrinks inside).
-    const int64_t slot_floats =
-        options_.symmetric_comm ? packed_elements : encoded_elements;
-    exchange_slot_ = arena_.alloc(static_cast<size_t>(slot_floats), prec,
-                                  options_.symmetric_comm
-                                      ? comm::BufferLayout::kTrianglePacked
-                                      : comm::BufferLayout::kEncoded);
-    exchange_packed_ = options_.symmetric_comm;
-    exchange_precision_ = prec;
-    const std::span<float> slot = exchange_slot_.span();
-    int64_t packed_offset = 0;
-    int64_t encoded_offset = 0;
-    for (int64_t f = 0; f < num_factors; ++f) {
-      const int64_t count = factor_payload_elements(f);
-      const int64_t enc_count = comm::Codec::encoded_floats(count);
-      if (options_.symmetric_comm) {
-        const std::span<float> triangle(slot.data() + packed_offset,
-                                        static_cast<size_t>(count));
-        comm::SymmetricPacker::pack(factor(f).cov, triangle);
-        if (lossy) {
-          // In-place shrink: encoded offset ≤ packed offset, always.
-          comm::Codec::encode(
-              triangle,
-              slot.subspan(static_cast<size_t>(encoded_offset),
-                           static_cast<size_t>(enc_count)),
-              prec);
-        }
-      } else {
-        comm::Codec::encode(
-            factor(f).cov.span(),
-            slot.subspan(static_cast<size_t>(encoded_offset),
-                         static_cast<size_t>(enc_count)),
-            prec);
-      }
-      if (lossy) {
-        submit_view(exchange_slot_.subview(
-            static_cast<size_t>(encoded_offset), static_cast<size_t>(enc_count),
-            prec, comm::BufferLayout::kEncoded));
-      } else {
-        submit_view(exchange_slot_.subview(static_cast<size_t>(packed_offset),
-                                           static_cast<size_t>(count)));
-      }
-      packed_offset += count;
-      encoded_offset += enc_count;
-    }
-    exchange_live_ = true;
-    launch();
-    report_.factor_comm_bytes = lossy ? shipped_bytes : packed_bytes;
+    fusion_.execute(comm::ReduceOp::kAverage);
+    finish_factor_comm();  // shares the decode + unpack path
   }
 
+  const uint64_t packed_bytes =
+      static_cast<uint64_t>(packed_elements) * sizeof(float);
+  report_.factor_comm_bytes = shipped_bytes;
   report_.factor_dense_bytes = dense_bytes;
   report_.factor_packed_bytes = packed_bytes;
   report_.factor_chunks = async ? 0 : fusion_.last_chunk_count();
@@ -308,14 +264,8 @@ void KfacPreconditioner::update_factors() {
   }
 }
 
-int64_t KfacPreconditioner::factor_payload_elements(int64_t f) const {
-  const int64_t d = factor_dims_[static_cast<size_t>(f)];
-  return options_.symmetric_comm ? comm::SymmetricPacker::packed_size(d)
-                                 : d * d;
-}
-
 void KfacPreconditioner::finish_factor_comm() {
-  if (!factor_comm_pending_ && !exchange_live_) return;
+  if (!exchange_live_) return;  // a pending exchange is always live
   DKFAC_TRACE_SCOPE("kfac.factor_wait");
   if (factor_comm_pending_) {
     DKFAC_CHECK(executor_ != nullptr)
@@ -329,7 +279,6 @@ void KfacPreconditioner::finish_factor_comm() {
     } unpin{arena_};
     executor_->wait();
   }
-  if (!exchange_live_) return;  // dense fp32 path reduced in place — no slot
   exchange_live_ = false;
   // Fold-in straight from the exchange slot: every staged representation
   // of this exchange lives in that one allocation. Every rank decodes
@@ -337,58 +286,33 @@ void KfacPreconditioner::finish_factor_comm() {
   // backends. The slot is NOT released — the next exchange's reset+alloc
   // of the same shape reuses the block, keeping malloc off the hot path
   // even on skip-heavy schedules.
+  //
+  // Lossy triangles expand IN PLACE from the slot's encoded prefix back to
+  // the packed offsets. Decoding factor f writes [P_f, P_f+c_f), reading
+  // [E_f, E_f+e_f) with E_f ≤ P_f — walking factors DESCENDING (decode
+  // writes backward, see codec.hpp) means every write lands at or above
+  // all still-undecoded encoded words. fp32 triangles are unpacked as
+  // reduced.
+  const comm::Precision prec = options_.factor_precision;
   const std::span<float> slot = exchange_slot_.span();
-  const int64_t num_factors = static_cast<int64_t>(factor_dims_.size());
-  if (exchange_precision_ != comm::Precision::kFp32 && exchange_packed_) {
-    // Lossy triangles expand IN PLACE from the slot's encoded prefix back
-    // to the packed offsets. Decoding factor f writes [P_f, P_f+c_f),
-    // reading [E_f, E_f+e_f) with E_f ≤ P_f — walking factors DESCENDING
-    // (decode writes backward, see codec.hpp) means every write lands at
-    // or above all still-undecoded encoded words.
-    int64_t packed_end = 0;
-    int64_t encoded_end = 0;
-    for (int64_t f = 0; f < num_factors; ++f) {
-      packed_end += factor_payload_elements(f);
-      encoded_end += comm::Codec::encoded_floats(factor_payload_elements(f));
-    }
-    for (int64_t f = num_factors - 1; f >= 0; --f) {
-      const int64_t count = factor_payload_elements(f);
-      const int64_t enc_count = comm::Codec::encoded_floats(count);
-      packed_end -= count;
+  size_t packed_end = slot.size();
+  size_t encoded_end = 0;
+  for (int64_t d : factor_dims_) {
+    encoded_end += static_cast<size_t>(
+        comm::Codec::encoded_floats(comm::SymmetricPacker::packed_size(d)));
+  }
+  for (int64_t f = static_cast<int64_t>(factor_dims_.size()) - 1; f >= 0; --f) {
+    const auto count = static_cast<size_t>(
+        comm::SymmetricPacker::packed_size(factor(f).dim));
+    packed_end -= count;
+    const std::span<float> triangle = slot.subspan(packed_end, count);
+    if (prec != comm::Precision::kFp32) {
+      const auto enc_count = static_cast<size_t>(
+          comm::Codec::encoded_floats(static_cast<int64_t>(count)));
       encoded_end -= enc_count;
-      const std::span<float> triangle(slot.data() + packed_end,
-                                      static_cast<size_t>(count));
-      comm::Codec::decode(
-          slot.subspan(static_cast<size_t>(encoded_end),
-                       static_cast<size_t>(enc_count)),
-          triangle, exchange_precision_);
-      comm::SymmetricPacker::unpack(triangle, factor(f).cov);
+      comm::Codec::decode(slot.subspan(encoded_end, enc_count), triangle, prec);
     }
-  } else if (exchange_precision_ != comm::Precision::kFp32) {
-    // Lossy dense payloads decode straight into the covariance storage.
-    int64_t encoded_offset = 0;
-    for (int64_t f = 0; f < num_factors; ++f) {
-      Tensor& cov = factor(f).cov;
-      const int64_t enc_count =
-          comm::Codec::encoded_floats(factor_payload_elements(f));
-      comm::Codec::decode(
-          slot.subspan(static_cast<size_t>(encoded_offset),
-                       static_cast<size_t>(enc_count)),
-          cov.span(), exchange_precision_);
-      encoded_offset += enc_count;
-    }
-  } else {
-    // fp32 triangles: mirror the reduced upper triangles back out.
-    int64_t offset = 0;
-    for (int64_t f = 0; f < num_factors; ++f) {
-      Tensor& cov = factor(f).cov;
-      const int64_t count = factor_payload_elements(f);
-      comm::SymmetricPacker::unpack(
-          std::span<const float>(slot.data() + offset,
-                                 static_cast<size_t>(count)),
-          cov);
-      offset += count;
-    }
+    comm::SymmetricPacker::unpack(triangle, factor(f).cov);
   }
 }
 
@@ -463,16 +387,13 @@ int64_t KfacPreconditioner::decomp_payload(int64_t dim) const {
   return dim * kept + kept;  // truncated Q and Λ
 }
 
-bool KfacPreconditioner::pack_decompositions() const {
+int64_t KfacPreconditioner::shipped_decomp_payload(int64_t dim) const {
   // The explicit inverse (X+γI)⁻¹ is symmetric, so its allgather payload
   // triangle-packs exactly like the factors themselves. Eigenvector
   // matrices are not symmetric — the eigen path always ships dense.
-  return options_.inverse_method == InverseMethod::kExplicitInverse &&
-         options_.symmetric_comm;
-}
-
-int64_t KfacPreconditioner::shipped_decomp_payload(int64_t dim) const {
-  if (pack_decompositions()) return comm::SymmetricPacker::packed_size(dim);
+  if (options_.inverse_method == InverseMethod::kExplicitInverse) {
+    return comm::SymmetricPacker::packed_size(dim);
+  }
   return decomp_payload(dim);
 }
 
@@ -514,137 +435,118 @@ void KfacPreconditioner::exchange_decompositions() {
   if (comm_.size() == 1) return;
   DKFAC_TRACE_SCOPE("kfac.decomp_exchange");
   const int rank = comm_.rank();
-  const bool packed = pack_decompositions();
+  const comm::Precision prec = options_.factor_precision;
+  const bool lossy = prec != comm::Precision::kFp32;
+  const bool inverse =
+      options_.inverse_method == InverseMethod::kExplicitInverse;
+  const size_t num_factors = factor_dims_.size();
+  // A rank's payload (fp32 elements) is a pure function of the assignment.
+  const auto rank_elements = [&](int r) {
+    int64_t elements = 0;
+    for (size_t f = 0; f < num_factors; ++f) {
+      if (assignment_.owner[f] == r) {
+        elements += shipped_decomp_payload(factor_dims_[f]);
+      }
+    }
+    return static_cast<size_t>(elements);
+  };
 
-  // Pack owned decompositions in ascending factor order. Explicit inverses
-  // are symmetric, so with symmetric_comm on they travel as upper
-  // triangles — n(n+1)/2 of n² floats per factor (ROADMAP ~2× item).
-  std::vector<float> send;
-  for (int64_t f : assignment_.owned_by(rank)) {
-    const FactorState& state = factor(f);
+  // Pack owned decompositions in ascending factor order into one slot of
+  // the exchange arena (the factor exchange has been folded in by now):
+  // upper triangles for the symmetric explicit inverses, Q then Λ for
+  // eigenpairs.
+  const size_t elements = rank_elements(rank);
+  arena_.reset();
+  const std::span<float> slot = arena_.alloc(elements).span();
+  size_t offset = 0;
+  uint64_t dense_sent = 0;
+  for (size_t f = 0; f < num_factors; ++f) {
+    if (assignment_.owner[f] != rank) continue;
+    const FactorState& state = factor(static_cast<int64_t>(f));
     DKFAC_CHECK(state.have_decomp);
-    if (packed) {
-      const size_t offset = send.size();
-      const int64_t count = comm::SymmetricPacker::packed_size(state.dim);
-      send.resize(offset + static_cast<size_t>(count));
-      comm::SymmetricPacker::pack(
-          state.q, std::span<float>(send.data() + offset,
-                                    static_cast<size_t>(count)));
+    dense_sent +=
+        static_cast<uint64_t>(decomp_payload(state.dim)) * sizeof(float);
+    if (inverse) {
+      const auto count = static_cast<size_t>(
+          comm::SymmetricPacker::packed_size(state.dim));
+      comm::SymmetricPacker::pack(state.q, slot.subspan(offset, count));
+      offset += count;
       continue;
     }
-    send.insert(send.end(), state.q.data(), state.q.data() + state.q.numel());
-    if (options_.inverse_method == InverseMethod::kEigenDecomposition) {
-      send.insert(send.end(), state.lam.data(),
-                  state.lam.data() + state.lam.numel());
-    }
+    std::copy_n(state.q.data(), state.q.numel(), slot.data() + offset);
+    offset += static_cast<size_t>(state.q.numel());
+    std::copy_n(state.lam.data(), state.lam.numel(), slot.data() + offset);
+    offset += static_cast<size_t>(state.lam.numel());
   }
 
-  const comm::Precision prec = options_.factor_precision;
-  std::vector<float> gathered;
-  const uint64_t shipped_send_bytes =
-      comm::Codec::wire_bytes(static_cast<int64_t>(send.size()), prec);
-  if (prec == comm::Precision::kFp32) {
-    gathered = comm_.allgather(send);
-  } else {
-    // Lossy precision: this rank's payload is quantised once, the encoded
-    // blocks are gathered verbatim, and every rank decodes every block —
-    // its own included, so owners adopt the exact bytes their peers see
-    // and the replicas never diverge. The decoded buffer reproduces the
-    // fp32 layout, so the unpack loop below is precision-agnostic.
-    std::vector<float> encoded_send(static_cast<size_t>(
-        comm::Codec::encoded_floats(static_cast<int64_t>(send.size()))));
-    comm::Codec::encode(send, encoded_send, prec);
-    const std::vector<float> encoded_gathered = comm_.allgather(encoded_send);
-    // Per-rank element counts are a pure function of the assignment; size
-    // the decoded buffer once instead of reallocating per rank.
-    std::vector<int64_t> rank_elements(static_cast<size_t>(comm_.size()), 0);
-    int64_t total_elements = 0;
-    for (int r = 0; r < comm_.size(); ++r) {
-      for (int64_t f : assignment_.owned_by(r)) {
-        rank_elements[static_cast<size_t>(r)] +=
-            shipped_decomp_payload(factor(f).dim);
-      }
-      total_elements += rank_elements[static_cast<size_t>(r)];
-    }
-    gathered.resize(static_cast<size_t>(total_elements));
-    size_t encoded_offset = 0;
-    size_t decoded_offset = 0;
-    for (int r = 0; r < comm_.size(); ++r) {
-      const int64_t elements = rank_elements[static_cast<size_t>(r)];
-      const auto encoded_count =
-          static_cast<size_t>(comm::Codec::encoded_floats(elements));
-      DKFAC_CHECK(encoded_offset + encoded_count <= encoded_gathered.size())
-          << "encoded decomposition gather underflow";
-      comm::Codec::decode(
-          std::span<const float>(encoded_gathered.data() + encoded_offset,
-                                 encoded_count),
-          std::span<float>(gathered.data() + decoded_offset,
-                           static_cast<size_t>(elements)),
-          prec);
-      encoded_offset += encoded_count;
-      decoded_offset += static_cast<size_t>(elements);
-    }
-    DKFAC_CHECK(encoded_offset == encoded_gathered.size())
-        << "encoded decomposition gather leftover";
+  // Lossy precision: the whole rank payload is quantised once, encoded IN
+  // PLACE into the slot's prefix (encoding shrinks forward, see codec.hpp),
+  // and the encoded blocks are gathered verbatim.
+  std::span<const float> send = slot;
+  if (lossy) {
+    const std::span<float> encoded = slot.first(static_cast<size_t>(
+        comm::Codec::encoded_floats(static_cast<int64_t>(elements))));
+    comm::Codec::encode(slot, encoded, prec);
+    send = encoded;
   }
+  comm_.allgather_into(send, gather_buf_);
 
-  // Unpack rank by rank; each rank's segment holds its owned factors in
+  // Unpack rank by rank; each rank's block holds its owned factors in
   // ascending order, so the layout is fully determined by the assignment.
-  // At fp32 this rank's own segment is skipped (it already holds the exact
-  // decomposition it sent); at a lossy precision it is unpacked like any
-  // other so all ranks hold the identical quantised decomposition.
-  size_t offset = 0;
+  // At fp32 this rank's own block is skipped (it already holds the exact
+  // decomposition it sent); at a lossy precision every rank decodes every
+  // block — its own included, so owners adopt the exact bytes their peers
+  // see and the replicas never diverge.
+  size_t gathered = 0;
   for (int r = 0; r < comm_.size(); ++r) {
-    for (int64_t f : assignment_.owned_by(r)) {
-      FactorState& state = factor(f);
+    const size_t count = rank_elements(r);
+    const size_t block_floats =
+        lossy ? static_cast<size_t>(comm::Codec::encoded_floats(
+                    static_cast<int64_t>(count)))
+              : count;
+    DKFAC_CHECK(gathered + block_floats <= gather_buf_.size())
+        << "decomposition gather underflow";
+    std::span<const float> block(gather_buf_.data() + gathered, block_floats);
+    gathered += block_floats;
+    if (r == rank && !lossy) continue;  // already have our own
+    if (lossy) {
+      decode_buf_.resize(count);
+      comm::Codec::decode(block, decode_buf_, prec);
+      block = decode_buf_;
+    }
+    size_t pos = 0;
+    for (size_t f = 0; f < num_factors; ++f) {
+      if (assignment_.owner[f] != r) continue;
+      FactorState& state = factor(static_cast<int64_t>(f));
       const int64_t d = state.dim;
-      if (r == rank && prec == comm::Precision::kFp32) {
-        offset += static_cast<size_t>(shipped_decomp_payload(d));
-        continue;  // already have our own
-      }
-      DKFAC_CHECK(offset + static_cast<size_t>(shipped_decomp_payload(d)) <=
-                  gathered.size())
-          << "decomposition gather underflow";
-      if (packed) {
-        const int64_t count = comm::SymmetricPacker::packed_size(d);
+      if (inverse) {
+        const auto packed = static_cast<size_t>(
+            comm::SymmetricPacker::packed_size(d));
         state.q = Tensor(Shape{d, d});
-        comm::SymmetricPacker::unpack(
-            std::span<const float>(gathered.data() + offset,
-                                   static_cast<size_t>(count)),
-            state.q);
-        offset += static_cast<size_t>(count);
-        state.have_decomp = true;
-        continue;
-      }
-      const int64_t kept = kept_rank(d);
-      state.q = Tensor(Shape{d, options_.inverse_method ==
-                                     InverseMethod::kEigenDecomposition
-                                 ? kept
-                                 : d});
-      std::copy(gathered.data() + offset,
-                gathered.data() + offset + state.q.numel(), state.q.data());
-      offset += static_cast<size_t>(state.q.numel());
-      if (options_.inverse_method == InverseMethod::kEigenDecomposition) {
+        comm::SymmetricPacker::unpack(block.subspan(pos, packed), state.q);
+        pos += packed;
+      } else {
+        const int64_t kept = kept_rank(d);
+        state.q = Tensor(Shape{d, kept});
+        std::copy_n(block.data() + pos, state.q.numel(), state.q.data());
+        pos += static_cast<size_t>(state.q.numel());
         state.lam = Tensor(Shape{kept});
-        std::copy(gathered.data() + offset, gathered.data() + offset + kept,
-                  state.lam.data());
-        offset += static_cast<size_t>(kept);
+        std::copy_n(block.data() + pos, kept, state.lam.data());
+        pos += static_cast<size_t>(kept);
       }
       state.have_decomp = true;
     }
   }
-  DKFAC_CHECK(offset == gathered.size()) << "decomposition gather leftover";
+  DKFAC_CHECK(gathered == gather_buf_.size())
+      << "decomposition gather leftover";
 
   // Dense-equivalent vs actually-shipped bytes for this rank's send — the
   // same per-rank convention allgather_bytes uses, so the shipped bytes
   // (triangle-packed, then codec-encoded at a lossy precision) really are
   // a subset of that counter.
-  uint64_t dense_sent = 0;
-  for (int64_t f : assignment_.owned_by(rank)) {
-    const int64_t d = factor(f).dim;
-    dense_sent += static_cast<uint64_t>(decomp_payload(d)) * sizeof(float);
-  }
-  comm_.record_decomp_volume(dense_sent, shipped_send_bytes);
+  comm_.record_decomp_volume(
+      dense_sent,
+      comm::Codec::wire_bytes(static_cast<int64_t>(elements), prec));
 }
 
 Tensor KfacPreconditioner::precondition_layer(const LayerState& state,
@@ -726,42 +628,43 @@ void KfacPreconditioner::precondition_layer_wise() {
     original.push_back(state.layer->kfac_grad());
   }
 
-  std::vector<float> send;
+  // Owners precondition straight into one slot of the exchange arena.
+  // Factor 2l's owner owns the layer (layer-wise assignment pairs both
+  // factors on one rank).
+  size_t elements = 0;
   for (size_t l = 0; l < layers_.size(); ++l) {
-    // Factor 2l's owner owns the layer (layer-wise assignment pairs both
-    // factors on one rank).
+    if (assignment_.owner[2 * l] != rank) continue;
+    elements += static_cast<size_t>(layers_[l].g.dim * layers_[l].a.dim);
+  }
+  arena_.reset();
+  const std::span<float> send = arena_.alloc(elements).span();
+  size_t offset = 0;
+  for (size_t l = 0; l < layers_.size(); ++l) {
     if (assignment_.owner[2 * l] != rank) continue;
     const Tensor p = precondition_layer(layers_[l], original[l]);
-    send.insert(send.end(), p.data(), p.data() + p.numel());
+    std::copy_n(p.data(), p.numel(), send.data() + offset);
+    offset += static_cast<size_t>(p.numel());
   }
 
+  std::span<const float> gathered = send;
+  if (comm_.size() > 1) {
+    comm_.allgather_into(send, gather_buf_);
+    gathered = gather_buf_;
+  }
   std::vector<Tensor> preconditioned(layers_.size());
-  if (comm_.size() == 1) {
-    size_t offset = 0;
+  offset = 0;
+  for (int r = 0; r < comm_.size(); ++r) {
     for (size_t l = 0; l < layers_.size(); ++l) {
+      if (assignment_.owner[2 * l] != r) continue;
       const int64_t count = layers_[l].g.dim * layers_[l].a.dim;
+      DKFAC_CHECK(offset + static_cast<size_t>(count) <= gathered.size())
+          << "layer-wise gather underflow";
       preconditioned[l] = Tensor(Shape{layers_[l].g.dim, layers_[l].a.dim});
-      std::copy(send.data() + offset, send.data() + offset + count,
-                preconditioned[l].data());
+      std::copy_n(gathered.data() + offset, count, preconditioned[l].data());
       offset += static_cast<size_t>(count);
     }
-  } else {
-    const std::vector<float> gathered = comm_.allgather(send);
-    size_t offset = 0;
-    for (int r = 0; r < comm_.size(); ++r) {
-      for (size_t l = 0; l < layers_.size(); ++l) {
-        if (assignment_.owner[2 * l] != r) continue;
-        const int64_t count = layers_[l].g.dim * layers_[l].a.dim;
-        DKFAC_CHECK(offset + static_cast<size_t>(count) <= gathered.size())
-            << "layer-wise gather underflow";
-        preconditioned[l] = Tensor(Shape{layers_[l].g.dim, layers_[l].a.dim});
-        std::copy(gathered.data() + offset, gathered.data() + offset + count,
-                  preconditioned[l].data());
-        offset += static_cast<size_t>(count);
-      }
-    }
-    DKFAC_CHECK(offset == gathered.size()) << "layer-wise gather leftover";
   }
+  DKFAC_CHECK(offset == gathered.size()) << "layer-wise gather leftover";
 
   const float nu = grad_scale(preconditioned, original);
   for (size_t l = 0; l < layers_.size(); ++l) {

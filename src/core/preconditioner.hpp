@@ -97,7 +97,7 @@ class KfacPreconditioner {
   const KfacOptions& options() const { return options_; }
 
   /// Combined allocator-traffic counters of this object's comm arenas (the
-  /// factor exchange slot + the fusion staging arena).
+  /// exchange slot + the fusion staging arena).
   comm::ArenaStats arena_stats() const {
     comm::ArenaStats s = arena_.stats();
     s += fusion_.arena_stats();
@@ -126,10 +126,9 @@ class KfacPreconditioner {
     double precondition_seconds = 0.0;
     /// Factor-exchange reduction chain for this step (0 on skip
     /// iterations): bytes a dense n×n FP32 allreduce would ship, bytes
-    /// after structural packing (triangles when `symmetric_comm` is on,
-    /// else dense), and bytes actually handed to the collective after the
-    /// precision codec (16-bit payloads at fp16/bf16, else equal to
-    /// packed).
+    /// after triangle packing, and bytes actually handed to the collective
+    /// after the precision codec (16-bit payloads at fp16/bf16, else equal
+    /// to packed).
     uint64_t factor_dense_bytes = 0;
     uint64_t factor_packed_bytes = 0;
     uint64_t factor_comm_bytes = 0;
@@ -176,10 +175,6 @@ class KfacPreconditioner {
   /// executor, decodes any lossy payload, and mirrors the packed triangles
   /// back into the covariance tensors. No-op when nothing is pending.
   void finish_factor_comm();
-  /// FP32 elements factor `f` contributes to the exchange before the
-  /// precision codec: its packed triangle with symmetric_comm, the dense
-  /// matrix otherwise.
-  int64_t factor_payload_elements(int64_t f) const;
   void update_decompositions();
   void decompose_factor(FactorState& state) const;
   /// trace(cov)/dim, floored away from zero (π-damping input).
@@ -188,11 +183,9 @@ class KfacPreconditioner {
   int64_t kept_rank(int64_t dim) const;
   /// Floats needed to publish one factor's decomposition (dense layout).
   int64_t decomp_payload(int64_t dim) const;
-  /// Floats actually shipped per decomposition: triangle-packed when the
-  /// explicit inverse (symmetric) is exchanged with symmetric_comm on.
+  /// Floats actually shipped per decomposition: the upper triangle of an
+  /// explicit inverse (symmetric), the dense payload of an eigenpair.
   int64_t shipped_decomp_payload(int64_t dim) const;
-  /// True when decompositions travel as packed upper triangles.
-  bool pack_decompositions() const;
   void exchange_decompositions();
   Tensor precondition_layer(const LayerState& state, const Tensor& grad) const;
   void precondition_factor_wise();
@@ -209,23 +202,26 @@ class KfacPreconditioner {
   /// Overlapped-communication pipeline (owned by the trainer); nullptr →
   /// synchronous exchange.
   comm::AsyncExecutor* executor_ = nullptr;
-  /// Owns the factor-exchange slot: ONE allocation per exchange holding
-  /// the whole pipeline in place — triangles are packed into it, the codec
-  /// encodes them in place inside it (encoded image at or below the packed
-  /// image, see codec.hpp), the collective reduces it directly, and decode
-  /// + unpack read it back out. reset() + alloc() of the same shape every
-  /// exchange reuses the same block forever: zero steady-state heap
-  /// allocations on the factor path.
+  /// Owns the exchange slot: ONE allocation per exchange holding the
+  /// whole pipeline in place. For the factor exchange, triangles are
+  /// packed into it, the codec encodes them in place inside it (encoded
+  /// image at or below the packed image, see codec.hpp), the collective
+  /// reduces it directly, and decode + unpack read it back out. The
+  /// decomposition and K-FAC-lw gathers pack their send payload into it
+  /// the same way. reset() + alloc() of the same shapes every step reuses
+  /// the same blocks forever: the arena never grows in steady state, on
+  /// any K-FAC exchange.
   comm::Arena arena_;
-  /// The slot carved for the current exchange (empty when none is live).
+  /// The slot carved for the current factor exchange.
   comm::BufferView exchange_slot_;
   /// exchange_slot_ holds reduced payloads finish_factor_comm() has not
   /// yet folded into the covariances.
   bool exchange_live_ = false;
-  /// The live exchange's layout: triangle-packed source (symmetric_comm)?
-  bool exchange_packed_ = false;
-  /// The live exchange's wire precision (fp32 → no codec stage in slot).
-  comm::Precision exchange_precision_ = comm::Precision::kFp32;
+  /// Receive buffer of the decomposition and K-FAC-lw gathers, and the
+  /// fp32 image of one rank's decoded 16-bit decomposition block. Both
+  /// keep their capacity across steps.
+  std::vector<float> gather_buf_;
+  std::vector<float> decode_buf_;
   /// An asynchronous factor exchange is in flight (the executor is still
   /// reducing views of exchange_slot_ — the arena is pinned meanwhile).
   bool factor_comm_pending_ = false;

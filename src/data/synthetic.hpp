@@ -1,6 +1,6 @@
 // Synthetic class-conditional image datasets.
 //
-// Stand-in for CIFAR-10 / ImageNet-1k (see DESIGN.md substitution table):
+// Stand-in for CIFAR-10 / ImageNet-1k:
 // each class has a fixed low-frequency prototype image (coarse random grid,
 // bilinearly upsampled, so neighbouring pixels are strongly correlated —
 // deliberately producing the ill-conditioned input covariances where

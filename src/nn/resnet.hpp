@@ -4,7 +4,7 @@
 // and the quickstart example.
 //
 // `base_width` scales every stage's channel count, which lets benches run
-// faithfully-shaped but laptop-sized models (see DESIGN.md substitutions).
+// faithfully-shaped but laptop-sized models.
 #pragma once
 
 #include <memory>

@@ -3,29 +3,13 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "comm/net/faultnet.hpp"
-#include "obs/trace.hpp"
 
 namespace dkfac::obs {
 
 OverlapDerived derive_overlap(const comm::AsyncCommStats& async) {
-  double comm_seconds = async.comm_seconds;
-  double wait_seconds = async.wait_seconds;
-  if (Tracer::enabled()) {
-    const Tracer& tracer = Tracer::instance();
-    const double span_comm = tracer.aggregate_seconds("comm.async.flush");
-    const double span_wait = tracer.aggregate_seconds("comm.async.wait");
-    // Span aggregates only exist once instrumented code ran with tracing
-    // on; a zero aggregate alongside nonzero timers means spans were
-    // cleared or tracing was enabled late — trust the timers then.
-    if (span_comm > 0.0 || async.comm_seconds == 0.0) {
-      comm_seconds = span_comm;
-      wait_seconds = span_wait;
-    }
-  }
   OverlapDerived out;
-  out.hidden_seconds =
-      comm_seconds > wait_seconds ? comm_seconds - wait_seconds : 0.0;
-  out.exposed_seconds = comm_seconds - out.hidden_seconds;
+  out.hidden_seconds = async.overlap_won_seconds();
+  out.exposed_seconds = async.comm_seconds - out.hidden_seconds;
   return out;
 }
 

@@ -50,11 +50,10 @@ struct OverlapDerived {
   double exposed_seconds = 0.0;
 };
 
-/// Derives the overlap split. With tracing enabled the numbers come from
-/// the "comm.async.flush" / "comm.async.wait" span aggregates (same
-/// events the trace shows); otherwise from the AsyncCommStats timers.
-/// Both paths implement overlap_won_seconds()'s definition, so they agree
-/// up to clock placement.
+/// Derives the overlap split from the executor's per-rank AsyncCommStats
+/// timers (hidden is exactly overlap_won_seconds()). The trace's span
+/// aggregates are per process — on thread ranks they sum every rank — so
+/// they are not used here.
 OverlapDerived derive_overlap(const comm::AsyncCommStats& async);
 
 /// Owns a Registry wired with the full dotted-name schema plus the output

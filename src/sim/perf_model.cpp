@@ -7,22 +7,6 @@
 
 namespace dkfac::sim {
 
-double ClusterConfig::allreduce_s(int64_t bytes, int ranks) const {
-  DKFAC_CHECK(ranks >= 1);
-  if (ranks == 1 || bytes == 0) return 0.0;
-  const double p = ranks;
-  return 2.0 * (p - 1.0) * alpha_s +
-         2.0 * (p - 1.0) / p * static_cast<double>(bytes) / bandwidth;
-}
-
-double ClusterConfig::allgather_s(int64_t total_bytes, int ranks) const {
-  DKFAC_CHECK(ranks >= 1);
-  if (ranks == 1 || total_bytes == 0) return 0.0;
-  const double p = ranks;
-  return (p - 1.0) * alpha_s +
-         (p - 1.0) / p * static_cast<double>(total_bytes) / bandwidth;
-}
-
 ClusterSim::ClusterSim(ArchInfo arch, ClusterConfig config)
     : arch_(std::move(arch)), config_(config) {
   DKFAC_CHECK(!arch_.layers.empty());
@@ -36,7 +20,8 @@ double ClusterSim::forward_backward_s() const {
 
 double ClusterSim::sgd_iteration_s(int gpus) const {
   return config_.fixed_s + forward_backward_s() +
-         config_.allreduce_s(arch_.gradient_bytes(), gpus);
+         config_.network.allreduce_time(
+             static_cast<uint64_t>(arch_.gradient_bytes()), gpus);
 }
 
 std::vector<double> ClusterSim::worker_eig_seconds(
@@ -105,7 +90,8 @@ KfacStageProfile ClusterSim::kfac_stages(
   profile.factor_comp_s = arch_.factor_flops_per_sample() *
                           static_cast<double>(config_.local_batch) /
                           config_.factor_tput;
-  profile.factor_comm_s = config_.allreduce_s(arch_.factor_bytes(), gpus);
+  profile.factor_comm_s = config_.network.allreduce_time(
+      static_cast<uint64_t>(arch_.factor_bytes()), gpus);
 
   const std::vector<double> eig = worker_eig_seconds(gpus, strategy);
   profile.eig_comp_max_s = *std::max_element(eig.begin(), eig.end());
@@ -123,11 +109,12 @@ KfacStageProfile ClusterSim::kfac_stages(
     for (int p = 1; p < gpus; p *= 2) hops += 1.0;
     profile.lw_grad_exchange_s =
         (gpus > 1 ? (gpus - 1.0) / gpus * static_cast<double>(arch_.gradient_bytes()) /
-                        config_.bandwidth
+                        config_.network.effective_bandwidth()
                   : 0.0) +
         static_cast<double>(arch_.layers.size()) * hops * config_.lw_op_alpha_s;
   } else {
-    profile.eig_comm_s = config_.allgather_s(arch_.eigen_bytes(), gpus);
+    profile.eig_comm_s = config_.network.allgather_time(
+        static_cast<uint64_t>(arch_.eigen_bytes()), gpus);
     profile.lw_grad_exchange_s = 0.0;
   }
   return profile;

@@ -13,14 +13,14 @@
 // the real factor-size distribution and the assignment policy; and (c)
 // collective costs from the α-β ring model.
 //
-// Constants are calibrated once against Table V (ResNet-50 @16 GPUs) and
-// documented in EXPERIMENTS.md; everything that *varies* across the
-// paper's tables (models, scales, strategies, frequencies) is derived, not
-// fitted.
+// Constants are calibrated once against Table V (ResNet-50 @16 GPUs);
+// everything that *varies* across the paper's tables (models, scales,
+// strategies, frequencies) is derived, not fitted.
 #pragma once
 
 #include <vector>
 
+#include "comm/cost_model.hpp"
 #include "core/assignment.hpp"
 #include "sim/arch_stats.hpp"
 
@@ -28,8 +28,9 @@ namespace dkfac::sim {
 
 struct ClusterConfig {
   // --- network (effective, includes NCCL/launch + straggler overheads) ---
-  double alpha_s = 310e-6;     // per-hop collective latency
-  double bandwidth = 6.3e9;    // sustained bytes/s per GPU link share
+  // α = per-hop collective latency, β = sustained bytes/s per GPU link
+  // share; both already effective, hence an efficiency of exactly 1.
+  comm::CostModel network{310e-6, 6.3e9, /*efficiency=*/1.0};
 
   // --- compute throughputs (effective FLOP/s on V100 FP32) ---------------
   double gemm_tput = 1.0e13;     // forward/backward conv GEMMs
@@ -44,7 +45,7 @@ struct ClusterConfig {
   /// small-GEMM launches compound as the launch queue congests. Charged to
   /// both K-FAC variants. This is the per-iteration component of the
   /// paper's Te growth with model complexity (§VI-C4); calibrated against
-  /// Table III (see EXPERIMENTS.md).
+  /// Table III.
   double precond_congestion_s = 6.0e-6;
   /// Per-layer collective launch cost for K-FAC-lw's per-layer exchange of
   /// preconditioned gradients (one broadcast per layer per iteration).
@@ -53,10 +54,6 @@ struct ClusterConfig {
   // --- misc ----------------------------------------------------------------
   double fixed_s = 0.030;      // per-iteration I/O + launch + variable update
   int64_t local_batch = 32;    // paper: batch = 32 × GPUs
-
-  // Collective times (ring allreduce / allgather, binomial broadcast).
-  double allreduce_s(int64_t bytes, int ranks) const;
-  double allgather_s(int64_t total_bytes, int ranks) const;
 };
 
 /// Per-K-FAC-update-step profile — the rows of the paper's Table V.

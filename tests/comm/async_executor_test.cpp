@@ -264,8 +264,9 @@ class FailingComm final : public Communicator {
     }
   }
 
-  std::vector<float> allgather(std::span<const float> send) override {
-    return {send.begin(), send.end()};
+  void allgather_into(std::span<const float> send,
+                      std::vector<float>& recv) override {
+    recv.assign(send.begin(), send.end());
   }
   void broadcast(std::span<float>, int) override {}
   void barrier() override {}
@@ -310,8 +311,9 @@ TEST(AsyncExecutor, OverlapsCommunicationWithMainThreadCompute) {
     void allreduce(std::span<float>, ReduceOp) override {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    std::vector<float> allgather(std::span<const float> send) override {
-      return {send.begin(), send.end()};
+    void allgather_into(std::span<const float> send,
+                        std::vector<float>& recv) override {
+      recv.assign(send.begin(), send.end());
     }
     void broadcast(std::span<float>, int) override {}
     void barrier() override {}

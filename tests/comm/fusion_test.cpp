@@ -147,8 +147,9 @@ class FlakyComm final : public Communicator {
     (void)op;
   }
 
-  std::vector<float> allgather(std::span<const float> send) override {
-    return {send.begin(), send.end()};
+  void allgather_into(std::span<const float> send,
+                      std::vector<float>& recv) override {
+    recv.assign(send.begin(), send.end());
   }
 
   void broadcast(std::span<float>, int) override {}

@@ -141,7 +141,8 @@ TEST(SocketComm, AllgatherVariableSizesMatchesThreadOrder) {
   const int status = run_ranks_checked(p, [&](Communicator& comm) {
     const std::vector<float> send =
         contribution(comm.rank(), static_cast<size_t>(comm.rank()) + 1);
-    const std::vector<float> got = comm.allgather(send);
+    std::vector<float> got;
+    comm.allgather_into(send, got);
     std::vector<float> want;
     for (int r = 0; r < p; ++r) {
       const std::vector<float> block =
@@ -173,7 +174,8 @@ TEST(SocketComm, MixedCollectiveSequence) {
     for (int iter = 0; iter < 20; ++iter) {
       std::vector<float> g{static_cast<float>(comm.rank() + iter)};
       comm.allreduce(g, ReduceOp::kAverage);
-      const std::vector<float> gathered = comm.allgather(g);
+      std::vector<float> gathered;
+      comm.allgather_into(g, gathered);
       ASSERT_EQ(gathered.size(), static_cast<size_t>(p));
       for (float v : gathered) EXPECT_EQ(v, g[0]);
       comm.broadcast(g, iter % p);
@@ -189,8 +191,8 @@ TEST(SocketComm, StatsFollowPayloadAndWireConventions) {
     comm.reset_stats();
     std::vector<float> data(100, 1.0f);
     comm.allreduce(data, ReduceOp::kSum);
-    const std::vector<float> gathered =
-        comm.allgather(std::span<const float>(data.data(), 10));
+    std::vector<float> gathered;
+    comm.allgather_into(std::span<const float>(data.data(), 10), gathered);
     comm.broadcast(data, /*root=*/0);
     const CommStats& stats = comm.stats();
     EXPECT_EQ(stats.allreduce_calls, 1u);
@@ -323,7 +325,8 @@ TEST(SocketComm, SingleRankShortCircuitsWithoutServer) {
   std::vector<float> data{1.0f, 2.0f};
   comm.allreduce(data, ReduceOp::kAverage);
   EXPECT_EQ(data[0], 1.0f);
-  const std::vector<float> gathered = comm.allgather(data);
+  std::vector<float> gathered;
+  comm.allgather_into(data, gathered);
   EXPECT_EQ(gathered, data);
   comm.broadcast(data, 0);
   comm.barrier();

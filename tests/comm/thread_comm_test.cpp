@@ -53,7 +53,8 @@ TEST_P(ThreadCommSizes, AllgatherUniformSizes) {
   LocalGroup group(p);
   group.run([&](int rank, Communicator& comm) {
     std::vector<float> send{static_cast<float>(rank), static_cast<float>(rank) + 0.5f};
-    std::vector<float> got = comm.allgather(send);
+    std::vector<float> got;
+    comm.allgather_into(send, got);
     ASSERT_EQ(got.size(), static_cast<size_t>(2 * p));
     for (int r = 0; r < p; ++r) {
       EXPECT_FLOAT_EQ(got[static_cast<size_t>(2 * r)], static_cast<float>(r));
@@ -70,7 +71,8 @@ TEST_P(ThreadCommSizes, AllgatherVariableSizes) {
   group.run([&](int rank, Communicator& comm) {
     std::vector<float> send(static_cast<size_t>(rank + 1),
                             static_cast<float>(rank));
-    std::vector<float> got = comm.allgather(send);
+    std::vector<float> got;
+    comm.allgather_into(send, got);
     size_t expected_total = 0;
     for (int r = 0; r < p; ++r) expected_total += static_cast<size_t>(r + 1);
     ASSERT_EQ(got.size(), expected_total);
@@ -115,7 +117,8 @@ TEST_P(ThreadCommSizes, MixedCollectiveSequence) {
   group.run([&](int rank, Communicator& comm) {
     std::vector<float> g{static_cast<float>(rank)};
     comm.allreduce(g, ReduceOp::kAverage);
-    std::vector<float> gathered = comm.allgather(g);
+    std::vector<float> gathered;
+    comm.allgather_into(g, gathered);
     ASSERT_EQ(gathered.size(), static_cast<size_t>(p));
     // Every rank contributed the identical averaged value.
     for (float v : gathered) EXPECT_FLOAT_EQ(v, g[0]);
@@ -148,7 +151,8 @@ TEST(ThreadComm, StatsAccumulate) {
     std::vector<float> data(100, 1.0f);
     comm.allreduce(data, ReduceOp::kSum);
     comm.allreduce(data, ReduceOp::kSum);
-    auto gathered = comm.allgather(std::span<const float>(data.data(), 10));
+    std::vector<float> gathered;
+    comm.allgather_into(std::span<const float>(data.data(), 10), gathered);
     EXPECT_EQ(comm.stats().allreduce_calls, 2u);
     EXPECT_EQ(comm.stats().allreduce_bytes, 2u * 100u * sizeof(float));
     EXPECT_EQ(comm.stats().allgather_calls, 1u);
@@ -182,9 +186,9 @@ TEST(ThreadComm, ByteAccountingExactAcrossRepeatedAllreduces) {
 TEST(ThreadComm, FactorVolumeCountersAccumulate) {
   SelfComm comm;
   EXPECT_EQ(comm.stats().factor_dense_bytes, 0u);
-  // Two-argument form: no precision codec — encoded degenerates to packed.
-  comm.record_factor_volume(100, 55);
-  comm.record_factor_volume(100, 55);
+  // No precision codec — encoded equals packed.
+  comm.record_factor_volume(100, 55, 55);
+  comm.record_factor_volume(100, 55, 55);
   EXPECT_EQ(comm.stats().factor_dense_bytes, 200u);
   EXPECT_EQ(comm.stats().factor_packed_bytes, 110u);
   EXPECT_EQ(comm.stats().factor_encoded_bytes, 110u);
@@ -334,7 +338,8 @@ TEST(SelfComm, CollectivesAreIdentity) {
   std::vector<float> data{1.0f, 2.0f};
   comm.allreduce(data, ReduceOp::kAverage);
   EXPECT_FLOAT_EQ(data[0], 1.0f);
-  auto gathered = comm.allgather(data);
+  std::vector<float> gathered;
+  comm.allgather_into(data, gathered);
   EXPECT_EQ(gathered, data);
   comm.broadcast(data, 0);
   EXPECT_FLOAT_EQ(data[1], 2.0f);

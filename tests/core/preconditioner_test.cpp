@@ -555,73 +555,6 @@ TEST(Kfac, InvalidRankFractionThrows) {
   EXPECT_THROW(opts.validate(), Error);
 }
 
-TEST(Kfac, SymmetricCommMatchesDensePath) {
-  // Triangle-packed factor communication must produce the same
-  // preconditioned gradients as dense factor communication.
-  auto run_with = [](bool symmetric) {
-    std::vector<Tensor> grads;
-    comm::LocalGroup group(2);
-    std::mutex mu;
-    group.run([&](int rank, comm::Communicator& comm) {
-      Rng rng(140);
-      nn::LayerPtr model = nn::mlp(6, 8, 3, rng);
-      KfacOptions opts = base_options();
-      opts.symmetric_comm = symmetric;
-      KfacPreconditioner kfac(*model, comm, opts);
-      for (int it = 0; it < 3; ++it) {
-        run_batch(*model, 8, 6, 3, 141 + static_cast<uint64_t>(it) +
-                                       static_cast<uint64_t>(rank));
-        for (nn::Parameter* p : model->parameters()) {
-          comm.allreduce(p->grad, comm::ReduceOp::kAverage);
-        }
-        kfac.step();
-      }
-      if (rank == 0) {
-        std::lock_guard<std::mutex> lock(mu);
-        for (nn::KfacCapturable* l : model->kfac_layers()) {
-          grads.push_back(l->kfac_grad());
-        }
-      }
-    });
-    return grads;
-  };
-
-  const std::vector<Tensor> dense = run_with(false);
-  const std::vector<Tensor> packed = run_with(true);
-  ASSERT_EQ(dense.size(), packed.size());
-  for (size_t i = 0; i < dense.size(); ++i) {
-    EXPECT_TRUE(allclose(packed[i], dense[i], 1e-4f, 1e-5f)) << "layer " << i;
-  }
-}
-
-TEST(Kfac, SymmetricCommShipsFewerFactorBytes) {
-  comm::LocalGroup group(2);
-  std::vector<uint64_t> shipped(2);
-  std::vector<uint64_t> dense_equiv(2);
-  for (int variant = 0; variant < 2; ++variant) {
-    group.run([&](int rank, comm::Communicator& comm) {
-      Rng rng(150);
-      nn::LayerPtr model = nn::mlp(8, 12, 4, rng);
-      KfacOptions opts = base_options();
-      opts.symmetric_comm = variant == 1;
-      comm.reset_stats();
-      KfacPreconditioner kfac(*model, comm, opts);
-      run_batch(*model, 8, 8, 4, 151);
-      kfac.step();
-      if (rank == 0) {
-        shipped[static_cast<size_t>(variant)] = comm.stats().factor_packed_bytes;
-        dense_equiv[static_cast<size_t>(variant)] = comm.stats().factor_dense_bytes;
-      }
-    });
-  }
-  // Dense path: shipped == dense equivalent. Packed path: strictly less,
-  // and bounded by the worst per-factor ratio (n+1)/2n ≤ (1+1)/2 → use 60%
-  // as a generous ceiling for these small test factors.
-  EXPECT_EQ(shipped[0], dense_equiv[0]);
-  EXPECT_EQ(dense_equiv[1], dense_equiv[0]);
-  EXPECT_LT(shipped[1], (dense_equiv[1] * 6) / 10);
-}
-
 TEST(Kfac, StepReportSurfacesFactorCommBytes) {
   Rng rng(160);
   nn::LayerPtr model = nn::mlp(5, 6, 3, rng);
@@ -712,55 +645,71 @@ TEST(Kfac, LayerWiseAndFactorWiseProduceIdenticalGradients) {
 }
 
 TEST(Kfac, ExplicitInverseExchangeIsSymmetryPacked) {
-  // (X+γI)⁻¹ is symmetric, so the decomposition allgather triangle-packs
-  // like the factors themselves: fewer gathered bytes, same gradients.
-  auto run_with = [](bool symmetric) {
-    struct Result {
-      std::vector<Tensor> grads;
-      comm::CommStats stats;
-    } result;
-    std::mutex mu;
-    comm::LocalGroup group(2);
-    group.run([&](int rank, comm::Communicator& comm) {
-      Rng rng(210);
-      nn::LayerPtr model = nn::mlp(8, 12, 4, rng);
-      KfacOptions opts = base_options();
-      opts.inverse_method = InverseMethod::kExplicitInverse;
-      opts.symmetric_comm = symmetric;
-      comm.reset_stats();
-      KfacPreconditioner kfac(*model, comm, opts);
-      run_batch(*model, 8, 8, 4, 211);
-      for (nn::Parameter* p : model->parameters()) {
-        comm.allreduce(p->grad, comm::ReduceOp::kAverage);
-      }
-      kfac.step();
-      if (rank == 0) {
-        std::lock_guard<std::mutex> lock(mu);
-        for (nn::KfacCapturable* l : model->kfac_layers()) {
-          result.grads.push_back(l->kfac_grad());
+  // (X+γI)⁻¹ is symmetric, so the decomposition allgather ships only the
+  // upper triangle of each inverse this rank owns: n(n+1)/2 fp32 elements.
+  comm::LocalGroup group(2);
+  group.run([&](int rank, comm::Communicator& comm) {
+    Rng rng(210);
+    nn::LayerPtr model = nn::mlp(8, 12, 4, rng);
+    KfacOptions opts = base_options();
+    opts.inverse_method = InverseMethod::kExplicitInverse;
+    KfacPreconditioner kfac(*model, comm, opts);
+    run_batch(*model, 8, 8, 4, 211);
+    for (nn::Parameter* p : model->parameters()) {
+      comm.allreduce(p->grad, comm::ReduceOp::kAverage);
+    }
+    comm.reset_stats();
+    kfac.step();
+
+    uint64_t packed = 0;
+    uint64_t dense = 0;
+    for (int64_t f : kfac.assignment().owned_by(rank)) {
+      const auto n = static_cast<uint64_t>(
+          kfac.factor_dims()[static_cast<size_t>(f)]);
+      packed += sizeof(float) * n * (n + 1) / 2;
+      dense += sizeof(float) * n * n;
+    }
+    EXPECT_GT(packed, 0u);
+    EXPECT_EQ(comm.stats().decomp_packed_bytes, packed);
+    EXPECT_EQ(comm.stats().decomp_dense_bytes, dense);
+    // The decomposition exchange is the step's only allgather.
+    EXPECT_EQ(comm.stats().allgather_bytes, packed);
+  });
+}
+
+TEST(Kfac, DecompositionExchangeLeavesRanksBitwiseIdentical) {
+  // Every rank must precondition with the same decompositions. At fp32 an
+  // owner keeps the exact matrices it sent; at 16 bits it must adopt the
+  // decoded bytes its peers see, not its unquantised original.
+  for (const InverseMethod method : {InverseMethod::kEigenDecomposition,
+                                     InverseMethod::kExplicitInverse}) {
+    for (const comm::Precision precision :
+         {comm::Precision::kFp32, comm::Precision::kBf16}) {
+      std::vector<std::vector<Tensor>> grads(2);
+      comm::LocalGroup group(2);
+      group.run([&](int rank, comm::Communicator& comm) {
+        Rng rng(240);
+        nn::LayerPtr model = nn::mlp(6, 8, 3, rng);
+        KfacOptions opts = base_options();
+        opts.inverse_method = method;
+        opts.factor_precision = precision;
+        KfacPreconditioner kfac(*model, comm, opts);
+        run_batch(*model, 8, 6, 3, 241 + static_cast<uint64_t>(rank));
+        for (nn::Parameter* p : model->parameters()) {
+          comm.allreduce(p->grad, comm::ReduceOp::kAverage);
         }
-        result.stats = comm.stats();
+        kfac.step();
+        for (nn::KfacCapturable* l : model->kfac_layers()) {
+          grads[static_cast<size_t>(rank)].push_back(l->kfac_grad());
+        }
+      });
+      ASSERT_EQ(grads[0].size(), grads[1].size());
+      for (size_t i = 0; i < grads[0].size(); ++i) {
+        EXPECT_TRUE(grads[0][i] == grads[1][i])
+            << "layer " << i << ", method " << static_cast<int>(method)
+            << ", precision " << comm::precision_name(precision);
       }
-    });
-    return result;
-  };
-
-  const auto dense = run_with(false);
-  const auto packed = run_with(true);
-
-  // Volume: the packed gather ships n(n+1)/2 of n² per inverse.
-  EXPECT_LT(packed.stats.allgather_bytes, dense.stats.allgather_bytes);
-  EXPECT_EQ(dense.stats.decomp_packed_bytes, dense.stats.decomp_dense_bytes);
-  EXPECT_EQ(packed.stats.decomp_dense_bytes, dense.stats.decomp_dense_bytes);
-  EXPECT_LT(packed.stats.decomp_packed_bytes,
-            (packed.stats.decomp_dense_bytes * 6) / 10);
-
-  // Parity: unpack mirrors the triangle, so any FP32 asymmetry in the
-  // computed inverse is re-symmetrised — allow float-level tolerance.
-  ASSERT_EQ(dense.grads.size(), packed.grads.size());
-  for (size_t i = 0; i < dense.grads.size(); ++i) {
-    EXPECT_TRUE(allclose(packed.grads[i], dense.grads[i], 1e-4f, 1e-5f))
-        << "layer " << i;
+    }
   }
 }
 

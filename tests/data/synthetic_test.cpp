@@ -86,7 +86,7 @@ TEST(Synthetic, SameClassSharesPrototype) {
 
 TEST(Synthetic, NeighbouringPixelsCorrelated) {
   // The bilinear upsampling must produce spatial correlation (the property
-  // that makes input covariances ill-conditioned; see DESIGN.md).
+  // that makes input covariances ill-conditioned).
   SyntheticSpec spec = cifar10_like();
   spec.noise = 0.0f;  // prototypes only
   SyntheticImageDataset ds(spec, Split::kTrain);

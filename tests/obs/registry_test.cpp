@@ -3,8 +3,7 @@
 // lookups type-check, write_jsonl emits one parseable sorted object per
 // step (non-finite gauges as null), the logger maps every legacy
 // CommStats/StepReport field to its dotted name, and the overlap
-// derivation matches AsyncCommStats::overlap_won_seconds() from both the
-// timer path and the trace-aggregate path.
+// derivation matches AsyncCommStats::overlap_won_seconds().
 #include "obs/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -97,30 +96,6 @@ TEST(DeriveOverlap, TimerPathMatchesOverlapWonCounter) {
   const OverlapDerived e = derive_overlap(async);
   EXPECT_DOUBLE_EQ(e.hidden_seconds, 0.0);
   EXPECT_DOUBLE_EQ(e.exposed_seconds, 2.0);
-}
-
-TEST(DeriveOverlap, TraceAggregatePathUsesSpanTotals) {
-  Tracer& tracer = Tracer::instance();
-  tracer.disable();
-  tracer.enable();
-  tracer.clear();
-  const Ticks second = static_cast<Ticks>(1.0 / kSecondsPerTick);
-  tracer.add_aggregate(tracer.intern("comm.async.flush"), 4 * second);
-  tracer.add_aggregate(tracer.intern("comm.async.wait"), 1 * second);
-
-  comm::AsyncCommStats async;  // timers deliberately different from spans
-  async.comm_seconds = 10.0;
-  async.wait_seconds = 9.0;
-  const OverlapDerived d = derive_overlap(async);
-  EXPECT_NEAR(d.hidden_seconds, 3.0, 1e-6);  // tick-to-seconds rounding
-  EXPECT_NEAR(d.exposed_seconds, 1.0, 1e-6);
-
-  // Enabled-but-empty aggregates (tracing switched on late): trust timers.
-  tracer.clear();
-  const OverlapDerived f = derive_overlap(async);
-  EXPECT_DOUBLE_EQ(f.hidden_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(f.exposed_seconds, 9.0);
-  tracer.disable();
 }
 
 // ---- StepMetricsLogger -----------------------------------------------------

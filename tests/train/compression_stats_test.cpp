@@ -31,7 +31,7 @@ data::SyntheticSpec tiny_spec() {
   return spec;
 }
 
-TrainResult run(comm::Precision precision, bool symmetric, bool overlap) {
+TrainResult run(comm::Precision precision, bool overlap) {
   TrainConfig config;
   config.local_batch = 8;
   config.epochs = 1;
@@ -41,7 +41,6 @@ TrainResult run(comm::Precision precision, bool symmetric, bool overlap) {
   config.use_kfac = true;
   config.kfac.damping = 0.01f;
   config.kfac.with_update_freq(2);
-  config.kfac.symmetric_comm = symmetric;
   config.kfac.factor_precision = precision;
   return train_distributed(
       [](Rng& rng) { return nn::simple_cnn(3, 4, rng, 4); }, tiny_spec(),
@@ -49,9 +48,9 @@ TrainResult run(comm::Precision precision, bool symmetric, bool overlap) {
 }
 
 TEST(CompressionStats, ReductionChainHoldsAtEveryPrecision) {
-  const TrainResult fp32 = run(comm::Precision::kFp32, true, false);
-  const TrainResult fp16 = run(comm::Precision::kFp16, true, false);
-  const TrainResult bf16 = run(comm::Precision::kBf16, true, false);
+  const TrainResult fp32 = run(comm::Precision::kFp32, false);
+  const TrainResult fp16 = run(comm::Precision::kFp16, false);
+  const TrainResult bf16 = run(comm::Precision::kBf16, false);
 
   // fp32 passthrough: encoding degenerates to the packed payload.
   EXPECT_GT(fp32.comm_stats.factor_dense_bytes,
@@ -85,28 +84,13 @@ TEST(CompressionStats, ReductionChainHoldsAtEveryPrecision) {
   }
 }
 
-TEST(CompressionStats, DensePathEncodesTooWhenPackingIsOff) {
-  // symmetric_comm off: packed degenerates to dense, but a lossy precision
-  // still halves what the collective carries.
-  const TrainResult dense32 = run(comm::Precision::kFp32, false, false);
-  const TrainResult dense16 = run(comm::Precision::kFp16, false, false);
-  EXPECT_EQ(dense32.comm_stats.factor_dense_bytes,
-            dense32.comm_stats.factor_packed_bytes);
-  EXPECT_EQ(dense32.comm_stats.factor_packed_bytes,
-            dense32.comm_stats.factor_encoded_bytes);
-  EXPECT_EQ(dense16.comm_stats.factor_dense_bytes,
-            dense16.comm_stats.factor_packed_bytes);
-  EXPECT_GT(dense16.comm_stats.factor_packed_bytes,
-            dense16.comm_stats.factor_encoded_bytes);
-}
-
 TEST(CompressionStats, OverlapAndSyncAgreeBitwiseAndByteForByte) {
   // The async pipeline must ship exactly the same encoded bytes as the
   // synchronous path and land on bitwise-identical training results —
   // batching must not change a lossy reduction any more than a lossless
   // one.
-  const TrainResult sync = run(comm::Precision::kBf16, true, false);
-  const TrainResult overlap = run(comm::Precision::kBf16, true, true);
+  const TrainResult sync = run(comm::Precision::kBf16, false);
+  const TrainResult overlap = run(comm::Precision::kBf16, true);
   EXPECT_EQ(sync.comm_stats.factor_encoded_bytes,
             overlap.comm_stats.factor_encoded_bytes);
   EXPECT_EQ(sync.comm_stats.allreduce_bytes, overlap.comm_stats.allreduce_bytes);
@@ -116,9 +100,9 @@ TEST(CompressionStats, OverlapAndSyncAgreeBitwiseAndByteForByte) {
 }
 
 TEST(CompressionStats, LossyRunsDivergeFromFp32ButStayDeterministic) {
-  const TrainResult a = run(comm::Precision::kBf16, true, false);
-  const TrainResult b = run(comm::Precision::kBf16, true, false);
-  const TrainResult fp32 = run(comm::Precision::kFp32, true, false);
+  const TrainResult a = run(comm::Precision::kBf16, false);
+  const TrainResult b = run(comm::Precision::kBf16, false);
+  const TrainResult fp32 = run(comm::Precision::kFp32, false);
   // Determinism: the identical lossy run reproduces bit for bit.
   EXPECT_EQ(a.epochs.back().train_loss, b.epochs.back().train_loss);
   EXPECT_EQ(a.final_val_accuracy, b.final_val_accuracy);

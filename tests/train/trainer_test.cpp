@@ -241,22 +241,41 @@ TEST(Trainer, OverlapCommWithoutKfacAlsoMatches) {
 
 TEST(Trainer, SteadyStateCommPathNeverTouchesHeap) {
   // The zero-copy transport contract: after the first full iteration every
-  // comm-path arena (factor exchange slot, fusion staging) has seen its
-  // peak payload, so the rest of training must not grow a single block —
-  // under both the synchronous and the overlapped pipeline.
-  for (const bool overlap : {false, true}) {
-    TrainConfig config = tiny_config(2);
-    config.local_batch = 16;
-    config.use_kfac = true;
-    config.kfac.factor_precision = comm::Precision::kBf16;
-    config.kfac.with_update_freq(2);
-    config.overlap_comm = overlap;
-    TrainResult result =
-        train_distributed(tiny_cnn_factory(), tiny_spec(), config, 2);
-    EXPECT_GT(result.comm_stats.arena_bytes_reserved, 0u)
-        << (overlap ? "overlap" : "sync");
-    EXPECT_EQ(result.comm_stats.steady_state_allocs, 0u)
-        << (overlap ? "overlap" : "sync");
+  // comm-path arena (exchange slot, fusion staging) has seen its peak
+  // payload, so the rest of training must not grow a single block — under
+  // both the synchronous and the overlapped pipeline. with_update_freq(2)
+  // makes every second step an inverse-update step, so the decomposition
+  // gather (K-FAC-opt) runs through the exchange slot in steady state too;
+  // K-FAC-lw gathers preconditioned gradients through it every step.
+  for (const kfac::InverseMethod method :
+       {kfac::InverseMethod::kEigenDecomposition,
+        kfac::InverseMethod::kExplicitInverse}) {
+    for (const comm::Precision precision :
+         {comm::Precision::kFp32, comm::Precision::kBf16}) {
+      for (const kfac::DistributionStrategy strategy :
+           {kfac::DistributionStrategy::kFactorWise,
+            kfac::DistributionStrategy::kLayerWise}) {
+        for (const bool overlap : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "method " << static_cast<int>(method)
+                       << ", precision " << comm::precision_name(precision)
+                       << ", strategy " << static_cast<int>(strategy)
+                       << (overlap ? ", overlap" : ", sync"));
+          TrainConfig config = tiny_config(2);
+          config.local_batch = 16;
+          config.use_kfac = true;
+          config.kfac.inverse_method = method;
+          config.kfac.factor_precision = precision;
+          config.kfac.strategy = strategy;
+          config.kfac.with_update_freq(2);
+          config.overlap_comm = overlap;
+          TrainResult result =
+              train_distributed(tiny_cnn_factory(), tiny_spec(), config, 2);
+          EXPECT_GT(result.comm_stats.arena_bytes_reserved, 0u);
+          EXPECT_EQ(result.comm_stats.steady_state_allocs, 0u);
+        }
+      }
+    }
   }
 }
 
