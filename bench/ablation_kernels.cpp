@@ -6,8 +6,11 @@
 // parallelized the Cholesky and eigensolve. This bench keeps a verbatim
 // copy of the seed kernels ("legacy") and times both on the shapes the
 // paper puts on the critical path (Table 1 / Fig 10): square GEMMs from the
-// im2col path and the tall-skinny 4096×d AᵀA factor shape. Results land in
-// BENCH_kernels.json so the kernel-perf trajectory is a recorded artifact.
+// im2col path and the tall-skinny 4096×d AᵀA factor shape. (Conv2d's factor
+// path now calls syrk(cols, kNo) on the channel-major [d × N·OH·OW] patch
+// matrix; the rows below keep the AᵀA form so the trajectory stays
+// comparable.) Results land in BENCH_kernels.json so the kernel-perf
+// trajectory is a recorded artifact.
 //
 // This file is compiled WITHOUT the native-arch flags (bench/ uses the
 // default arch), so "legacy" is measured exactly as the seed built it.
@@ -169,8 +172,10 @@ int main() {
   }
 
   // The factor-statistics shape: AᵀA with A = [4096, d] (N·OH·OW patches ×
-  // patch dim). Legacy pays strided reads on the transposed operand; the
-  // packed kernel normalizes the transpose away, and syrk halves the flops.
+  // patch dim). Conv2d itself calls syrk(cols, kNo) on the same products
+  // laid out [d × N·OH·OW]. Legacy pays strided reads on the transposed
+  // operand; the packed kernel normalizes the transpose away, and syrk
+  // halves the flops.
   for (int64_t d : {27, 144, 288}) {
     const int64_t r = 4096;
     Rng rng(2);

@@ -58,14 +58,14 @@ inline void pack_a(const OpViewT<T>& a, int64_t i0, int64_t mc, int64_t k0,
         for (int64_t r = mr; r < mr_tile; ++r) out[r] = T(0);
       }
     } else {
-      // Row-major rows: read each row contiguously, scatter into the
-      // sliver (stride kMr writes stay inside one hot cache block).
-      for (int64_t r = 0; r < mr; ++r) {
-        const T* src = a.data + (i0 + s0 + r) * a.ld + k0;
-        for (int64_t k = 0; k < kc; ++k) dst[k * mr_tile + r] = src[k];
-      }
-      for (int64_t r = mr; r < mr_tile; ++r) {
-        for (int64_t k = 0; k < kc; ++k) dst[k * mr_tile + r] = T(0);
+      // Row-major rows: each k step gathers one element from each of the
+      // sliver's rows (mr streams read in step), so the sliver is written
+      // front to back.
+      const T* src = a.data + (i0 + s0) * a.ld + k0;
+      for (int64_t k = 0; k < kc; ++k) {
+        T* out = dst + k * mr_tile;
+        for (int64_t r = 0; r < mr; ++r) out[r] = src[r * a.ld + k];
+        for (int64_t r = mr; r < mr_tile; ++r) out[r] = T(0);
       }
     }
   }
@@ -83,13 +83,13 @@ inline void pack_b(const OpViewT<T>& b, int64_t k0, int64_t kc, int64_t j0,
     T* dst = buf + t0 * kc;
     if (b.trans) {
       // op(B)(k, j) = data[j·ld + k]: each column j is contiguous in k;
-      // read column-wise, scatter into the sliver.
-      for (int64_t c = 0; c < nr; ++c) {
-        const T* src = b.data + (j0 + t0 + c) * b.ld + k0;
-        for (int64_t k = 0; k < kc; ++k) dst[k * nr_tile + c] = src[k];
-      }
-      for (int64_t c = nr; c < nr_tile; ++c) {
-        for (int64_t k = 0; k < kc; ++k) dst[k * nr_tile + c] = T(0);
+      // each k step gathers one element per column (nr streams read in
+      // step), so the sliver is written front to back.
+      const T* src = b.data + (j0 + t0) * b.ld + k0;
+      for (int64_t k = 0; k < kc; ++k) {
+        T* out = dst + k * nr_tile;
+        for (int64_t c = 0; c < nr; ++c) out[c] = src[c * b.ld + k];
+        for (int64_t c = nr; c < nr_tile; ++c) out[c] = T(0);
       }
     } else {
       // Row-major rows of B are contiguous in j — straight copies.

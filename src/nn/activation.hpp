@@ -9,19 +9,7 @@ class ReLU final : public Layer {
  public:
   explicit ReLU(std::string name = "relu") : name_(std::move(name)) {}
 
-  Tensor forward(const Tensor& x) override {
-    mask_.assign(static_cast<size_t>(x.numel()), 0);
-    Tensor y = x;
-    for (int64_t i = 0; i < y.numel(); ++i) {
-      if (y[i] > 0.0f) {
-        mask_[static_cast<size_t>(i)] = 1;
-      } else {
-        y[i] = 0.0f;
-      }
-    }
-    return y;
-  }
-
+  Tensor forward(const Tensor& x) override;
   Tensor backward_impl(const Tensor& grad_output) override;
 
   std::string name() const override { return name_; }

@@ -84,7 +84,6 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   }
 
   if (training()) {
-    input_ = x;
     xhat_ = std::move(xhat);
     batch_mean_ = std::move(mean);
     batch_inv_std_ = std::move(inv_std);
@@ -95,9 +94,9 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
 
 Tensor BatchNorm2d::backward_impl(const Tensor& grad_output) {
   DKFAC_CHECK(has_batch_) << name_ << ": backward before training forward";
-  DKFAC_CHECK(grad_output.shape() == input_.shape())
+  DKFAC_CHECK(grad_output.shape() == xhat_.shape())
       << name_ << ": grad shape " << grad_output.shape();
-  const int64_t n = input_.dim(0), h = input_.dim(2), w = input_.dim(3);
+  const int64_t n = xhat_.dim(0), h = xhat_.dim(2), w = xhat_.dim(3);
   const int64_t count = n * h * w;
 
   // Per-channel reductions: dγ = Σ dy·x̂, dβ = Σ dy.
@@ -120,7 +119,7 @@ Tensor BatchNorm2d::backward_impl(const Tensor& grad_output) {
   }
 
   // dx = γ·inv_std/count · (count·dy − Σdy − x̂·Σ(dy·x̂)).
-  Tensor dx(input_.shape());
+  Tensor dx(xhat_.shape());
   const float inv_count = 1.0f / static_cast<float>(count);
 #pragma omp parallel for schedule(static)
   for (int64_t b = 0; b < n; ++b) {

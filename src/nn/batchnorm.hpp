@@ -37,8 +37,7 @@ class BatchNorm2d final : public Layer {
   Tensor running_var_;
 
   // Cached batch state for backward.
-  Tensor input_;
-  Tensor xhat_;
+  Tensor xhat_;  // also carries the input shape
   Tensor batch_mean_;
   Tensor batch_inv_std_;
   bool has_batch_ = false;

@@ -1,6 +1,7 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
@@ -21,31 +22,48 @@ int64_t conv_out_size(int64_t in, int64_t kernel, int64_t stride, int64_t paddin
   return out;
 }
 
+namespace {
+
+/// Output positions [lo, hi) along one axis whose tap at kernel offset `k`
+/// reads inside the input: 0 ≤ t·stride − padding + k < in.
+std::pair<int64_t, int64_t> inside_range(int64_t in, int64_t out, int64_t k,
+                                         int64_t stride, int64_t padding) {
+  const int64_t first = padding - k;          // smallest allowed t·stride
+  const int64_t last = in - 1 + padding - k;  // largest allowed t·stride
+  const int64_t lo = first <= 0 ? 0 : (first + stride - 1) / stride;
+  const int64_t hi = last < 0 ? 0 : std::min(out, last / stride + 1);
+  return {lo, std::max(lo, hi)};
+}
+
+}  // namespace
+
 Tensor im2col(const Tensor& x, int64_t kernel, int64_t stride, int64_t padding) {
   DKFAC_CHECK(x.ndim() == 4) << "im2col expects NCHW, got " << x.shape();
   const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int64_t oh = conv_out_size(h, kernel, stride, padding);
   const int64_t ow = conv_out_size(w, kernel, stride, padding);
   const int64_t patch_dim = c * kernel * kernel;
+  const int64_t plane = oh * ow;
 
-  Tensor cols(Shape{n * oh * ow, patch_dim});
-#pragma omp parallel for schedule(static)
-  for (int64_t img = 0; img < n; ++img) {
-    const float* src = x.data() + img * c * h * w;
-    for (int64_t r = 0; r < oh; ++r) {
-      for (int64_t col = 0; col < ow; ++col) {
-        float* dst = cols.data() + ((img * oh + r) * ow + col) * patch_dim;
-        const int64_t h0 = r * stride - padding;
-        const int64_t w0 = col * stride - padding;
-        for (int64_t ch = 0; ch < c; ++ch) {
-          for (int64_t kh = 0; kh < kernel; ++kh) {
-            const int64_t hh = h0 + kh;
-            for (int64_t kw = 0; kw < kernel; ++kw) {
-              const int64_t ww = w0 + kw;
-              const bool inside = hh >= 0 && hh < h && ww >= 0 && ww < w;
-              *dst++ = inside ? src[(ch * h + hh) * w + ww] : 0.0f;
-            }
-          }
+  // Row (ch, kh, kw) is channel ch shifted by one tap: per output row, one
+  // run of in-range columns; padding stays at the tensor's initial zeros.
+  Tensor cols(Shape{patch_dim, n * plane});
+#pragma omp parallel for collapse(2) schedule(static)
+  for (int64_t row = 0; row < patch_dim; ++row) {
+    for (int64_t img = 0; img < n; ++img) {
+      const int64_t ch = row / (kernel * kernel);
+      const int64_t kh = row / kernel % kernel;
+      const int64_t kw = row % kernel;
+      const auto [r_lo, r_hi] = inside_range(h, oh, kh, stride, padding);
+      const auto [c_lo, c_hi] = inside_range(w, ow, kw, stride, padding);
+      const float* src = x.data() + (img * c + ch) * h * w;
+      float* dst = cols.data() + row * n * plane + img * plane;
+      const int64_t w_off = kw - padding;
+      for (int64_t r = r_lo; r < r_hi; ++r) {
+        const float* in = src + (r * stride - padding + kh) * w;
+        float* out = dst + r * ow;
+        for (int64_t col = c_lo; col < c_hi; ++col) {
+          out[col] = in[col * stride + w_off];
         }
       }
     }
@@ -61,28 +79,32 @@ Tensor col2im(const Tensor& cols, Shape image_shape, int64_t kernel,
   const int64_t oh = conv_out_size(h, kernel, stride, padding);
   const int64_t ow = conv_out_size(w, kernel, stride, padding);
   const int64_t patch_dim = c * kernel * kernel;
-  DKFAC_CHECK(cols.ndim() == 2 && cols.dim(0) == n * oh * ow &&
-              cols.dim(1) == patch_dim)
+  const int64_t plane = oh * ow;
+  DKFAC_CHECK(cols.ndim() == 2 && cols.dim(0) == patch_dim &&
+              cols.dim(1) == n * plane)
       << "col2im input shape " << cols.shape() << " inconsistent with image "
       << image_shape;
 
+  // Taps run in descending (kh, kw) order, so every pixel sums its
+  // contributions in ascending output position — the order a per-position
+  // scatter (output position outer, taps inner) produces.
   Tensor img(image_shape);
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for collapse(2) schedule(static)
   for (int64_t b = 0; b < n; ++b) {
-    float* dst = img.data() + b * c * h * w;
-    for (int64_t r = 0; r < oh; ++r) {
-      for (int64_t col = 0; col < ow; ++col) {
-        const float* src = cols.data() + ((b * oh + r) * ow + col) * patch_dim;
-        const int64_t h0 = r * stride - padding;
-        const int64_t w0 = col * stride - padding;
-        for (int64_t ch = 0; ch < c; ++ch) {
-          for (int64_t kh = 0; kh < kernel; ++kh) {
-            const int64_t hh = h0 + kh;
-            for (int64_t kw = 0; kw < kernel; ++kw) {
-              const int64_t ww = w0 + kw;
-              if (hh >= 0 && hh < h && ww >= 0 && ww < w) {
-                dst[(ch * h + hh) * w + ww] += src[(ch * kernel + kh) * kernel + kw];
-              }
+    for (int64_t ch = 0; ch < c; ++ch) {
+      float* dst = img.data() + (b * c + ch) * h * w;
+      for (int64_t kh = kernel - 1; kh >= 0; --kh) {
+        const auto [r_lo, r_hi] = inside_range(h, oh, kh, stride, padding);
+        for (int64_t kw = kernel - 1; kw >= 0; --kw) {
+          const auto [c_lo, c_hi] = inside_range(w, ow, kw, stride, padding);
+          const int64_t row = (ch * kernel + kh) * kernel + kw;
+          const float* src = cols.data() + row * n * plane + b * plane;
+          const int64_t w_off = kw - padding;
+          for (int64_t r = r_lo; r < r_hi; ++r) {
+            float* out = dst + (r * stride - padding + kh) * w;
+            const float* in = src + r * ow;
+            for (int64_t col = c_lo; col < c_hi; ++col) {
+              out[col * stride + w_off] += in[col];
             }
           }
         }
@@ -119,19 +141,19 @@ Tensor Conv2d::forward(const Tensor& x) {
   const int64_t ow = conv_out_size(x.dim(3), spec_.kernel, spec_.stride, spec_.padding);
   const int64_t oc = spec_.out_channels;
 
-  // rows [N·OH·OW, OC] = patches · Wᵀ, then permute into NCHW.
-  Tensor rows = matmul(patches_, weight_.value, Trans::kNo, Trans::kYes);
+  // out [OC, N·OH·OW] = W · patches; each (b, oc) plane is one contiguous
+  // run of it. The bias add (or + 0.0f, which turns −0 into +0) is part of
+  // the layer's bits.
+  Tensor out = matmul(weight_.value, patches_);
+  const int64_t plane = oh * ow;
   Tensor y(Shape{n, oc, oh, ow});
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for collapse(2) schedule(static)
   for (int64_t b = 0; b < n; ++b) {
-    for (int64_t r = 0; r < oh; ++r) {
-      for (int64_t col = 0; col < ow; ++col) {
-        const float* src = rows.data() + ((b * oh + r) * ow + col) * oc;
-        for (int64_t ch = 0; ch < oc; ++ch) {
-          y.data()[((b * oc + ch) * oh + r) * ow + col] =
-              src[ch] + (spec_.bias ? bias_param_->value[ch] : 0.0f);
-        }
-      }
+    for (int64_t ch = 0; ch < oc; ++ch) {
+      const float* src = out.data() + ch * n * plane + b * plane;
+      float* dst = y.data() + (b * oc + ch) * plane;
+      const float add = spec_.bias ? bias_param_->value[ch] : 0.0f;
+      for (int64_t i = 0; i < plane; ++i) dst[i] = src[i] + add;
     }
   }
   return y;
@@ -148,31 +170,30 @@ Tensor Conv2d::backward_impl(const Tensor& grad_output) {
   DKFAC_CHECK(grad_output.shape() == Shape({n, oc, oh, ow}))
       << name_ << ": grad shape " << grad_output.shape();
 
-  // Permute NCHW grad into row layout matching the forward GEMM.
-  grad_rows_ = Tensor(Shape{n * oh * ow, oc});
-#pragma omp parallel for schedule(static)
-  for (int64_t b = 0; b < n; ++b) {
-    for (int64_t r = 0; r < oh; ++r) {
-      for (int64_t col = 0; col < ow; ++col) {
-        float* dst = grad_rows_.data() + ((b * oh + r) * ow + col) * oc;
-        for (int64_t ch = 0; ch < oc; ++ch) {
-          dst[ch] = grad_output.data()[((b * oc + ch) * oh + r) * ow + col];
-        }
-      }
+  // Gather the NCHW grad into [OC, N·OH·OW], the forward output's layout.
+  const int64_t plane = oh * ow;
+  grad_rows_ = Tensor(Shape{oc, n * plane});
+#pragma omp parallel for collapse(2) schedule(static)
+  for (int64_t ch = 0; ch < oc; ++ch) {
+    for (int64_t b = 0; b < n; ++b) {
+      const float* src = grad_output.data() + (b * oc + ch) * plane;
+      std::copy(src, src + plane, grad_rows_.data() + ch * n * plane + b * plane);
     }
   }
   has_grad_ = true;
 
-  // dW += rowsᵀ·patches ; db += column sums ; dx = col2im(rows·W).
-  gemm(1.0f, grad_rows_, Trans::kYes, patches_, Trans::kNo, 1.0f, weight_.grad);
+  // dW += rows·patchesᵀ ; db += row sums ; dx = col2im(Wᵀ·rows).
+  gemm(1.0f, grad_rows_, Trans::kNo, patches_, Trans::kYes, 1.0f, weight_.grad);
   if (spec_.bias) {
-    const int64_t rows_n = grad_rows_.dim(0);
-    for (int64_t i = 0; i < rows_n; ++i) {
-      const float* row = grad_rows_.data() + i * oc;
-      for (int64_t ch = 0; ch < oc; ++ch) bias_param_->grad[ch] += row[ch];
+    const int64_t cols = grad_rows_.dim(1);
+    for (int64_t ch = 0; ch < oc; ++ch) {
+      const float* row = grad_rows_.data() + ch * cols;
+      float sum = bias_param_->grad[ch];
+      for (int64_t t = 0; t < cols; ++t) sum += row[t];
+      bias_param_->grad[ch] = sum;
     }
   }
-  Tensor grad_patches = matmul(grad_rows_, weight_.value);
+  Tensor grad_patches = matmul(weight_.value, grad_rows_, Trans::kYes, Trans::kNo);
   return col2im(grad_patches, input_shape_, spec_.kernel, spec_.stride,
                 spec_.padding);
 }
@@ -185,37 +206,34 @@ std::vector<Parameter*> Conv2d::local_parameters() {
 
 Tensor Conv2d::kfac_a_factor() const {
   DKFAC_CHECK(has_batch_) << name_ << ": no forward pass captured for A factor";
-  const int64_t rows = patches_.dim(0);  // N·OH·OW
+  const int64_t cols = patches_.dim(1);  // N·OH·OW
   const int64_t d = kfac_a_dim();
   // A = E[ã ãᵀ] is a Gram matrix — syrk computes the upper triangle only
   // (~half the flops) and mirrors, so the factor is exactly symmetric.
   Tensor a(Shape{d, d});
   if (!spec_.bias) {
-    syrk(1.0f / static_cast<float>(rows), patches_, Trans::kYes, 0.0f, a);
+    syrk(1.0f / static_cast<float>(cols), patches_, Trans::kNo, 0.0f, a);
     return a;
   }
-  Tensor augmented(Shape{rows, d});
-  for (int64_t i = 0; i < rows; ++i) {
-    const float* src = patches_.data() + i * patch_dim_;
-    float* dst = augmented.data() + i * d;
-    std::copy(src, src + patch_dim_, dst);
-    dst[patch_dim_] = 1.0f;
-  }
-  syrk(1.0f / static_cast<float>(rows), augmented, Trans::kYes, 0.0f, a);
+  // ã = [patch; 1]: the patch rows followed by a row of ones.
+  Tensor augmented(Shape{d, cols});
+  std::copy(patches_.data(), patches_.data() + patches_.numel(), augmented.data());
+  std::fill(augmented.data() + patches_.numel(), augmented.data() + d * cols, 1.0f);
+  syrk(1.0f / static_cast<float>(cols), augmented, Trans::kNo, 0.0f, a);
   return a;
 }
 
 Tensor Conv2d::kfac_g_factor() const {
   DKFAC_CHECK(has_grad_) << name_ << ": no backward pass captured for G factor";
-  const int64_t rows = grad_rows_.dim(0);  // N·OH·OW
+  const int64_t cols = grad_rows_.dim(1);  // N·OH·OW
   const int64_t n = input_shape_[0];
   const int64_t oc = spec_.out_channels;
   // Per-sample output grads are N·g (mean loss); average the outer product
-  // over batch and spatial positions: G = N²/(N·OH·OW) · rowsᵀ·rows.
+  // over batch and spatial positions: G = N²/(N·OH·OW) · rows·rowsᵀ.
   const float scale = static_cast<float>(n) * static_cast<float>(n) /
-                      static_cast<float>(rows);
+                      static_cast<float>(cols);
   Tensor g(Shape{oc, oc});
-  syrk(scale, grad_rows_, Trans::kYes, 0.0f, g);
+  syrk(scale, grad_rows_, Trans::kNo, 0.0f, g);
   return g;
 }
 

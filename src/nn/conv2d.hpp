@@ -21,10 +21,13 @@ struct Conv2dSpec {
   bool bias = false;  // ResNet convs carry no bias (BatchNorm follows)
 };
 
-/// Unfolds x [N,C,H,W] into patch rows [N·OH·OW, C·k·k].
+/// Unfolds x [N,C,H,W] into the channel-major patch matrix [C·k·k, N·OH·OW]:
+/// row (c, kh, kw) holds channel c shifted by that tap, and column
+/// (n, oh, ow) is one output position's patch.
 Tensor im2col(const Tensor& x, int64_t kernel, int64_t stride, int64_t padding);
 
-/// Adjoint of im2col: folds patch-row gradients back into image gradients.
+/// Adjoint of im2col: folds a [C·k·k, N·OH·OW] patch gradient back into the
+/// image gradient [N,C,H,W].
 Tensor col2im(const Tensor& cols, Shape image_shape, int64_t kernel,
               int64_t stride, int64_t padding);
 
@@ -63,8 +66,8 @@ class Conv2d final : public Layer, public KfacCapturable {
 
   // Cached batch state.
   Shape input_shape_{0};
-  Tensor patches_;      // [N·OH·OW, patch_dim] from the last forward
-  Tensor grad_rows_;    // [N·OH·OW, out_channels] from the last backward
+  Tensor patches_;      // [patch_dim, N·OH·OW] from the last forward
+  Tensor grad_rows_;    // [out_channels, N·OH·OW] from the last backward
   bool has_batch_ = false;
   bool has_grad_ = false;
 };

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
 #include "common/error.hpp"
 #include "grad_check.hpp"
 #include "nn/activation.hpp"
@@ -28,6 +32,28 @@ TEST(ReLU, BackwardMasksGradient) {
   EXPECT_FLOAT_EQ(dx[0], 0.0f);
   EXPECT_FLOAT_EQ(dx[1], 20.0f);
   EXPECT_FLOAT_EQ(dx[2], 30.0f);
+}
+
+TEST(ReLU, SpecialValuesExactBits) {
+  const float denormal = std::numeric_limits<float>::denorm_min();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float payload_nan = std::bit_cast<float>(0xffc00123u);  // −NaN, payload
+  auto bits = [](const Tensor& t) {
+    std::vector<uint32_t> out;
+    for (int64_t i = 0; i < t.numel(); ++i) out.push_back(std::bit_cast<uint32_t>(t[i]));
+    return out;
+  };
+
+  // Only x > 0 passes: −0, +0 and NaN all become +0; a denormal survives.
+  ReLU relu;
+  Tensor x(Shape{6}, {-0.0f, 0.0f, nan, denormal, -1.0f, 1.0f});
+  EXPECT_EQ(bits(relu.forward(x)),
+            bits(Tensor(Shape{6}, {0.0f, 0.0f, 0.0f, denormal, 0.0f, 1.0f})));
+
+  // Backward keeps g's exact bits (−0 and NaN too) where x > 0, +0 elsewhere.
+  Tensor g(Shape{6}, {payload_nan, -0.0f, 3.0f, -0.0f, -2.0f, payload_nan});
+  EXPECT_EQ(bits(relu.backward(g)),
+            bits(Tensor(Shape{6}, {0.0f, 0.0f, 0.0f, -0.0f, 0.0f, payload_nan})));
 }
 
 TEST(ReLU, GradCheck) {

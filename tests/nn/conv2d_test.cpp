@@ -21,22 +21,22 @@ TEST(Im2col, IdentityKernelIsReshape) {
   // 1×1 kernel, stride 1: each patch is exactly one pixel per channel.
   Tensor x(Shape{1, 2, 2, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
   Tensor cols = im2col(x, 1, 1, 0);
-  ASSERT_EQ(cols.shape(), Shape({4, 2}));
+  ASSERT_EQ(cols.shape(), Shape({2, 4}));
   EXPECT_FLOAT_EQ(cols.at(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(cols.at(0, 1), 5.0f);
-  EXPECT_FLOAT_EQ(cols.at(3, 0), 4.0f);
-  EXPECT_FLOAT_EQ(cols.at(3, 1), 8.0f);
+  EXPECT_FLOAT_EQ(cols.at(1, 0), 5.0f);
+  EXPECT_FLOAT_EQ(cols.at(0, 3), 4.0f);
+  EXPECT_FLOAT_EQ(cols.at(1, 3), 8.0f);
 }
 
 TEST(Im2col, PaddingProducesZeros) {
   Tensor x = Tensor::ones(Shape{1, 1, 2, 2});
   Tensor cols = im2col(x, 3, 1, 1);
-  ASSERT_EQ(cols.shape(), Shape({4, 9}));
+  ASSERT_EQ(cols.shape(), Shape({9, 4}));
   // Top-left output position: only the bottom-right 2×2 of the window is
   // inside the image.
   EXPECT_FLOAT_EQ(cols.at(0, 0), 0.0f);  // (-1,-1)
-  EXPECT_FLOAT_EQ(cols.at(0, 4), 1.0f);  // (0,0)
-  EXPECT_FLOAT_EQ(cols.at(0, 8), 1.0f);  // (1,1)
+  EXPECT_FLOAT_EQ(cols.at(4, 0), 1.0f);  // (0,0)
+  EXPECT_FLOAT_EQ(cols.at(8, 0), 1.0f);  // (1,1)
 }
 
 TEST(Im2col, Col2imAdjointProperty) {
