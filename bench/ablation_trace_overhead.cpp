@@ -1,9 +1,11 @@
 // Ablation: what does phase tracing cost the training loop?
 //
-// The obs::Tracer contract is that observability is close to free: with
-// the runtime gate off every DKFAC_TRACE_* macro is one relaxed atomic
-// load and a branch, and fully on it is a steady_clock read plus a store
-// into a preallocated per-thread ring — never a lock, never a heap
+// The obs::Tracer contract is that observability is close to free. Every
+// span times itself into a per-thread aggregate (two steady_clock reads)
+// whatever the gate, because span aggregates are the one clock the
+// metrics, the straggler vote and the executor timers read. With the
+// runtime gate off nothing else runs, and fully on each event is also a
+// store into a preallocated per-thread ring — never a lock, never a heap
 // allocation after warm-up. This bench puts numbers on that contract by
 // running identical distributed K-FAC training three ways:
 //
@@ -13,6 +15,10 @@
 //                are initialized but the gate is false — the steady state
 //                of a process that traced earlier
 //   tracing-on   full recording into default-capacity rings
+//
+// Baseline and runtime-off run the same timing code (the gate only
+// controls the rings), so their gap is run-to-run noise; the gate on it
+// is kept as a check that the gate itself stays free.
 //
 // Modes are interleaved across repetitions and the fastest rep per mode
 // is kept, so machine noise hits all three equally. The run fails (exit

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "linalg/threading.hpp"
 #include "obs/trace.hpp"
@@ -47,17 +46,16 @@ void AsyncExecutor::submit(const BufferView& view, ReduceOp op) {
 }
 
 void AsyncExecutor::wait() {
-  // The span shows this wait on the trace timeline. Its aggregate is per
-  // process (every thread rank summed), so overlap metrics read the
-  // per-rank stats_.wait_seconds timer instead (obs::derive_overlap).
-  DKFAC_TRACE_SCOPE("comm.async.wait");
-  const auto start = Clock::now();
+  // The span is this wait's clock: its duration is the per-rank
+  // wait_seconds the overlap metrics split collective time by.
+  DKFAC_TRACE_SCOPE_NAMED(wait_span, "comm.async.wait");
   std::unique_lock<std::mutex> lock(mutex_);
   const uint64_t ticket = ++next_ticket_;
   queue_.push_back(Item{{}, ReduceOp::kSum, /*flush=*/true, ticket});
   work_ready_.notify_one();
   ticket_done_.wait(lock, [&] { return completed_ticket_ >= ticket; });
-  stats_.wait_seconds += seconds_since(start);
+  wait_span.close();
+  stats_.wait_seconds += wait_span.seconds();
   if (error_) {
     const std::exception_ptr error = error_;
     lock.unlock();
@@ -86,18 +84,17 @@ void AsyncExecutor::execute_batch(std::vector<Item>& batch,
   if (!failed) {
     try {
       for (const Item& item : batch) fusion_.add(item.view);
-      // Trace-timeline marker only; overlap metrics read the per-rank
-      // stats_.comm_seconds timer (see wait()).
+      // The span times the fused collective: its duration is the
+      // per-rank comm_seconds (see wait()).
       DKFAC_TRACE_SCOPE_NAMED(flush_span, "comm.async.flush");
       if (flush_span.active()) {
         flush_span.set_arg("bytes", batch_bytes);
         flush_span.set_arg("tensors", batch.size());
       }
-      const auto start = Clock::now();
       fusion_.execute(batch.front().op);
-      const double elapsed = seconds_since(start);
+      flush_span.close();
       std::lock_guard<std::mutex> lock(mutex_);
-      stats_.comm_seconds += elapsed;
+      stats_.comm_seconds += flush_span.seconds();
       ++stats_.batches;
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -88,8 +88,8 @@ inline void finish_reduce(std::span<float> result, ReduceOp op, int ranks) {
 struct AsyncCommStats {
   uint64_t submitted = 0;       ///< tensors accepted by submit()
   uint64_t batches = 0;         ///< fused execute() calls on the worker
-  double comm_seconds = 0.0;    ///< worker time inside collectives
-  double wait_seconds = 0.0;    ///< main-thread time blocked in wait()
+  double comm_seconds = 0.0;    ///< comm.async.flush spans: worker collectives
+  double wait_seconds = 0.0;    ///< comm.async.wait spans: main thread blocked
 
   /// Communication hidden behind compute: collective time the main thread
   /// did not spend blocked for.

@@ -209,10 +209,8 @@ void SocketComm::allreduce(std::span<float> data, ReduceOp op) {
   // The span is named after the algorithm the cost model picked, so the
   // timeline shows the choice per call, not just the op.
   DKFAC_TRACE_SCOPE_ID(
-      span, !obs::Tracer::enabled() ? 0
-            : circulation
-                ? DKFAC_TRACE_INTERN("socket.allreduce.ring")
-                : DKFAC_TRACE_INTERN("socket.allreduce.pipelined_ring"));
+      span, circulation ? DKFAC_TRACE_INTERN("socket.allreduce.ring")
+                        : DKFAC_TRACE_INTERN("socket.allreduce.pipelined_ring"));
   const uint64_t wire_before = stats_.wire_sent_bytes + stats_.wire_recv_bytes;
   if (circulation) {
     ring_circulation_allreduce(data, op);

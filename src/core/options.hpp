@@ -83,11 +83,6 @@ struct KfacOptions {
   /// see Communicator::allreduce_encoded for the cost analysis.
   comm::Precision factor_precision = comm::Precision::kFp32;
 
-  /// Fusion-buffer capacity for the factor allreduce, in bytes.
-  /// 0 (default) derives the capacity from comm::CostModel so each chunk
-  /// stays bandwidth-dominated at the current world size.
-  size_t fusion_capacity_bytes = 0;
-
   /// Route the factor allreduce through the trainer's comm::AsyncExecutor
   /// (when one is attached via set_async_executor) instead of a blocking
   /// fused allreduce, so factor exchange overlaps the tail of backprop and
@@ -112,10 +107,6 @@ struct KfacOptions {
     DKFAC_CHECK(factor_update_freq >= 1 && inv_update_freq >= 1);
     DKFAC_CHECK(eigen_rank_fraction > 0.0f && eigen_rank_fraction <= 1.0f)
         << "eigen_rank_fraction must be in (0, 1]";
-    DKFAC_CHECK(fusion_capacity_bytes == 0 ||
-                fusion_capacity_bytes >= sizeof(float))
-        << "fusion_capacity_bytes must be 0 (cost-model derived) or hold at "
-           "least one transport element";
     DKFAC_CHECK(factor_precision == comm::Precision::kFp32 ||
                 factor_precision == comm::Precision::kFp16 ||
                 factor_precision == comm::Precision::kBf16)

@@ -5,7 +5,6 @@
 
 #include "comm/cost_model.hpp"
 #include "comm/symmetric_packer.hpp"
-#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "linalg/batch.hpp"
 #include "linalg/blas.hpp"
@@ -17,16 +16,14 @@ namespace dkfac::kfac {
 
 namespace {
 
-/// Fusion-buffer capacity for the factor allreduce: the explicit option
-/// when set, otherwise the backend's own α–β cost model's bandwidth-
-/// dominated chunk size for this world size. Validates first — this runs
-/// in the member-init list, before the constructor body, so a bad option
-/// set must surface as an options error rather than a low-level
-/// fusion-buffer failure.
+/// Fusion-buffer capacity for the factor allreduce: the backend's own α–β
+/// cost model's bandwidth-dominated chunk size for this world size.
+/// Validates first — this runs in the member-init list, before the
+/// constructor body, so a bad option set must surface as an options error
+/// rather than a low-level failure further down.
 size_t factor_fusion_capacity(const KfacOptions& options,
                               const comm::Communicator& comm) {
   options.validate();
-  if (options.fusion_capacity_bytes > 0) return options.fusion_capacity_bytes;
   return comm.cost_model().recommended_fusion_bytes(comm.size());
 }
 
@@ -110,27 +107,22 @@ void KfacPreconditioner::step() {
 
   if (!shed && iteration_ % options_.factor_update_freq == 0) {
     DKFAC_TRACE_SCOPE("kfac.factor_update");
-    const auto start = Clock::now();
     // A factor exchange left in flight by the previous step must fold in
     // before this step's running-average update reads the covariances.
     finish_factor_comm();
     update_factors();
     report_.factors_updated = true;
-    report_.factor_seconds = seconds_since(start);
   }
 
   if (!shed && iteration_ % options_.inv_update_freq == 0) {
     DKFAC_TRACE_SCOPE("kfac.decomposition");
-    const auto start = Clock::now();
     finish_factor_comm();  // decomposition consumes the reduced factors
     update_decompositions();
     report_.decompositions_updated = true;
-    report_.decomposition_seconds = seconds_since(start);
   }
 
   {
     DKFAC_TRACE_SCOPE("kfac.precondition");
-    const auto start = Clock::now();
     if (options_.strategy == DistributionStrategy::kLayerWise) {
       // K-FAC-lw allgathers preconditioned gradients directly on the
       // communicator, which must not race the background pipeline.
@@ -141,7 +133,6 @@ void KfacPreconditioner::step() {
       // overlapping these GEMMs (and the next iteration's compute).
       precondition_factor_wise();
     }
-    report_.precondition_seconds = seconds_since(start);
   }
 
   ++iteration_;

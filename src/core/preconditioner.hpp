@@ -121,9 +121,6 @@ class KfacPreconditioner {
     /// A due factor/decomposition update was shed by
     /// skip_factor_update_once() (straggler slack).
     bool factor_step_skipped = false;
-    double factor_seconds = 0.0;
-    double decomposition_seconds = 0.0;
-    double precondition_seconds = 0.0;
     /// Factor-exchange reduction chain for this step (0 on skip
     /// iterations): bytes a dense n×n FP32 allreduce would ship, bytes
     /// after triangle packing, and bytes actually handed to the collective

@@ -2,141 +2,143 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "comm/net/faultnet.hpp"
 
 namespace dkfac::obs {
+namespace {
 
-OverlapDerived derive_overlap(const comm::AsyncCommStats& async) {
-  OverlapDerived out;
-  out.hidden_seconds = async.overlap_won_seconds();
-  out.exposed_seconds = async.comm_seconds - out.hidden_seconds;
-  return out;
-}
+constexpr MetricKind kCounter = MetricKind::kCounter;
+constexpr MetricKind kGauge = MetricKind::kGauge;
+constexpr std::string_view kSpanSource = "span ";
+
+// A field of StepInputs as a source: its path is the row's source text and
+// its value the row's read(), so the two cannot drift apart.
+#define FIELD(path) \
+  #path, [](const StepInputs& in) { return static_cast<double>(in.path); }
+
+// Counters are cumulative over the run (exact as doubles below 2^53; the
+// report.* ones sum per-step values). Gauges are this step's value, except
+// the comm.async.* times, which are run totals.
+constexpr MetricSpec kSchema[] = {
+    {"comm.allreduce.calls", kCounter, "count", FIELD(comm.allreduce_calls)},
+    {"comm.allreduce.bytes", kCounter, "B", FIELD(comm.allreduce_bytes)},
+    {"comm.allgather.calls", kCounter, "count", FIELD(comm.allgather_calls)},
+    {"comm.allgather.bytes", kCounter, "B", FIELD(comm.allgather_bytes)},
+    {"comm.broadcast.calls", kCounter, "count", FIELD(comm.broadcast_calls)},
+    {"comm.broadcast.bytes", kCounter, "B", FIELD(comm.broadcast_bytes)},
+    {"comm.wire.sent_bytes", kCounter, "B", FIELD(comm.wire_sent_bytes)},
+    {"comm.wire.recv_bytes", kCounter, "B", FIELD(comm.wire_recv_bytes)},
+    {"factor.dense_bytes", kCounter, "B", FIELD(comm.factor_dense_bytes)},
+    {"factor.packed_bytes", kCounter, "B", FIELD(comm.factor_packed_bytes)},
+    {"factor.encoded_bytes", kCounter, "B", FIELD(comm.factor_encoded_bytes)},
+    {"decomp.dense_bytes", kCounter, "B", FIELD(comm.decomp_dense_bytes)},
+    {"decomp.packed_bytes", kCounter, "B", FIELD(comm.decomp_packed_bytes)},
+    {"arena.bytes_reserved", kCounter, "B", FIELD(arena.bytes_reserved)},
+    {"arena.steady_allocs", kCounter, "count",
+     FIELD(arena.steady_state_allocs)},
+    {"comm.async.submitted", kCounter, "count", FIELD(comm.async.submitted)},
+    {"comm.async.batches", kCounter, "count", FIELD(comm.async.batches)},
+    {"kfac.factor_updates", kCounter, "count", FIELD(report.factors_updated),
+     true},
+    {"kfac.decomp_updates", kCounter, "count",
+     FIELD(report.decompositions_updated), true},
+    {"kfac.decomp_intra_tasks", kCounter, "count",
+     FIELD(report.decomp_intra_tasks), true},
+    {"kfac.decomp_inter_tasks", kCounter, "count",
+     FIELD(report.decomp_inter_tasks), true},
+    {"elastic.reformations", kCounter, "count",
+     FIELD(sample.elastic_reformations)},
+    {"elastic.skipped_factor_steps", kCounter, "count",
+     FIELD(sample.elastic_skipped_factor_steps)},
+    {"elastic.joins", kCounter, "count", FIELD(sample.elastic_joins)},
+    {"elastic.respawns", kCounter, "count", FIELD(sample.elastic_respawns)},
+    {"faultnet.injected.total", kCounter, "count", FIELD(faults.total)},
+    {"faultnet.injected.refused", kCounter, "count", FIELD(faults.refused)},
+    {"faultnet.injected.resets", kCounter, "count", FIELD(faults.resets)},
+    {"faultnet.injected.stalls", kCounter, "count", FIELD(faults.stalls)},
+    {"faultnet.injected.short_writes", kCounter, "count",
+     FIELD(faults.short_writes)},
+    {"faultnet.injected.bitflips", kCounter, "count", FIELD(faults.bitflips)},
+    {"faultnet.injected.aborts", kCounter, "count", FIELD(faults.aborts)},
+
+    {"train.loss", kGauge, "nats", FIELD(sample.loss)},
+    {"train.accuracy", kGauge, "frac", FIELD(sample.accuracy)},
+    {"train.lr", kGauge, "1", FIELD(sample.lr)},
+    {"train.step_seconds", kGauge, "s", "span train.step"},
+    {"data.load_seconds", kGauge, "s", "span data.load"},
+    {"train.forward_seconds", kGauge, "s", "span train.forward"},
+    {"train.backward_seconds", kGauge, "s", "span train.backward"},
+    {"comm.grad.seconds", kGauge, "s", "span train.grad_comm"},
+    {"train.apply_seconds", kGauge, "s", "span train.apply"},
+    {"kfac.factor_seconds", kGauge, "s", "span kfac.factor_update"},
+    {"kfac.decomposition_seconds", kGauge, "s", "span kfac.decomposition"},
+    {"kfac.precondition_seconds", kGauge, "s", "span kfac.precondition"},
+    {"comm.async.comm_seconds", kGauge, "s", FIELD(comm.async.comm_seconds)},
+    {"comm.async.wait_seconds", kGauge, "s", FIELD(comm.async.wait_seconds)},
+    // Hidden = collective time the main thread never blocked for; exposed
+    // = the rest. Waiting longer than the collectives ran hides nothing.
+    {"comm.overlap.hidden_seconds", kGauge, "s",
+     FIELD(comm.async.overlap_won_seconds())},
+    {"comm.overlap.exposed_seconds", kGauge, "s",
+     "comm.async.comm_seconds - comm.async.overlap_won_seconds()",
+     [](const StepInputs& in) {
+       return in.comm.async.comm_seconds - in.comm.async.overlap_won_seconds();
+     }},
+};
+
+#undef FIELD
+
+}  // namespace
+
+std::span<const MetricSpec> metric_schema() { return kSchema; }
 
 StepMetricsLogger::StepMetricsLogger(const std::string& path) {
   if (!path.empty()) {
     out_.open(path, std::ios::trunc);
     if (!out_) throw Error("obs: cannot open metrics file for write: " + path);
   }
-
-  comm_allreduce_calls_ = &registry_.add_counter("comm.allreduce.calls");
-  comm_allreduce_bytes_ = &registry_.add_counter("comm.allreduce.bytes");
-  comm_allgather_calls_ = &registry_.add_counter("comm.allgather.calls");
-  comm_allgather_bytes_ = &registry_.add_counter("comm.allgather.bytes");
-  comm_broadcast_calls_ = &registry_.add_counter("comm.broadcast.calls");
-  comm_broadcast_bytes_ = &registry_.add_counter("comm.broadcast.bytes");
-  comm_wire_sent_bytes_ = &registry_.add_counter("comm.wire.sent_bytes");
-  comm_wire_recv_bytes_ = &registry_.add_counter("comm.wire.recv_bytes");
-  factor_dense_bytes_ = &registry_.add_counter("factor.dense_bytes");
-  factor_packed_bytes_ = &registry_.add_counter("factor.packed_bytes");
-  factor_encoded_bytes_ = &registry_.add_counter("factor.encoded_bytes");
-  decomp_dense_bytes_ = &registry_.add_counter("decomp.dense_bytes");
-  decomp_packed_bytes_ = &registry_.add_counter("decomp.packed_bytes");
-  arena_bytes_reserved_ = &registry_.add_counter("arena.bytes_reserved");
-  arena_steady_allocs_ = &registry_.add_counter("arena.steady_allocs");
-  async_submitted_ = &registry_.add_counter("comm.async.submitted");
-  async_batches_ = &registry_.add_counter("comm.async.batches");
-  kfac_factor_updates_ = &registry_.add_counter("kfac.factor_updates");
-  kfac_decomp_updates_ = &registry_.add_counter("kfac.decomp_updates");
-  kfac_decomp_intra_ = &registry_.add_counter("kfac.decomp_intra_tasks");
-  kfac_decomp_inter_ = &registry_.add_counter("kfac.decomp_inter_tasks");
-  elastic_reformations_ = &registry_.add_counter("elastic.reformations");
-  elastic_skipped_factor_steps_ =
-      &registry_.add_counter("elastic.skipped_factor_steps");
-  elastic_joins_ = &registry_.add_counter("elastic.joins");
-  elastic_respawns_ = &registry_.add_counter("elastic.respawns");
-  faultnet_total_ = &registry_.add_counter("faultnet.injected.total");
-  faultnet_refused_ = &registry_.add_counter("faultnet.injected.refused");
-  faultnet_resets_ = &registry_.add_counter("faultnet.injected.resets");
-  faultnet_stalls_ = &registry_.add_counter("faultnet.injected.stalls");
-  faultnet_short_writes_ =
-      &registry_.add_counter("faultnet.injected.short_writes");
-  faultnet_bitflips_ = &registry_.add_counter("faultnet.injected.bitflips");
-  faultnet_aborts_ = &registry_.add_counter("faultnet.injected.aborts");
-
-  train_loss_ = &registry_.add_gauge("train.loss");
-  train_accuracy_ = &registry_.add_gauge("train.accuracy");
-  train_lr_ = &registry_.add_gauge("train.lr");
-  train_step_seconds_ = &registry_.add_gauge("train.step_seconds");
-  data_load_seconds_ = &registry_.add_gauge("data.load_seconds");
-  train_forward_seconds_ = &registry_.add_gauge("train.forward_seconds");
-  train_backward_seconds_ = &registry_.add_gauge("train.backward_seconds");
-  comm_grad_seconds_ = &registry_.add_gauge("comm.grad.seconds");
-  train_apply_seconds_ = &registry_.add_gauge("train.apply_seconds");
-  async_comm_seconds_ = &registry_.add_gauge("comm.async.comm_seconds");
-  async_wait_seconds_ = &registry_.add_gauge("comm.async.wait_seconds");
-  overlap_hidden_seconds_ =
-      &registry_.add_gauge("comm.overlap.hidden_seconds");
-  overlap_exposed_seconds_ =
-      &registry_.add_gauge("comm.overlap.exposed_seconds");
-  kfac_factor_seconds_ = &registry_.add_gauge("kfac.factor_seconds");
-  kfac_decomposition_seconds_ =
-      &registry_.add_gauge("kfac.decomposition_seconds");
-  kfac_precondition_seconds_ =
-      &registry_.add_gauge("kfac.precondition_seconds");
+  Tracer& tracer = Tracer::instance();
+  for (const MetricSpec& spec : kSchema) {
+    Bound m{&spec};
+    const std::string name(spec.name);
+    if (spec.kind == MetricKind::kCounter) {
+      m.counter = &registry_.add_counter(name);
+    } else {
+      m.gauge = &registry_.add_gauge(name);
+    }
+    if (spec.source.starts_with(kSpanSource)) {
+      DKFAC_CHECK(m.gauge != nullptr) << "span metric must be a gauge: " << name;
+      m.span = tracer.intern(spec.source.substr(kSpanSource.size()));
+      m.last_ticks = tracer.thread_totals(m.span).ticks;
+    }
+    metrics_.push_back(m);
+  }
 }
 
 void StepMetricsLogger::record(const StepSample& sample,
                                const comm::CommStats& comm,
                                const kfac::KfacPreconditioner::StepReport* report,
                                const comm::ArenaStats& arena) {
-  comm_allreduce_calls_->set(comm.allreduce_calls);
-  comm_allreduce_bytes_->set(comm.allreduce_bytes);
-  comm_allgather_calls_->set(comm.allgather_calls);
-  comm_allgather_bytes_->set(comm.allgather_bytes);
-  comm_broadcast_calls_->set(comm.broadcast_calls);
-  comm_broadcast_bytes_->set(comm.broadcast_bytes);
-  comm_wire_sent_bytes_->set(comm.wire_sent_bytes);
-  comm_wire_recv_bytes_->set(comm.wire_recv_bytes);
-  factor_dense_bytes_->set(comm.factor_dense_bytes);
-  factor_packed_bytes_->set(comm.factor_packed_bytes);
-  factor_encoded_bytes_->set(comm.factor_encoded_bytes);
-  decomp_dense_bytes_->set(comm.decomp_dense_bytes);
-  decomp_packed_bytes_->set(comm.decomp_packed_bytes);
-  arena_bytes_reserved_->set(arena.bytes_reserved);
-  arena_steady_allocs_->set(arena.steady_state_allocs);
-  async_submitted_->set(comm.async.submitted);
-  async_batches_->set(comm.async.batches);
-  elastic_reformations_->set(sample.elastic_reformations);
-  elastic_skipped_factor_steps_->set(sample.elastic_skipped_factor_steps);
-  elastic_joins_->set(sample.elastic_joins);
-  elastic_respawns_->set(sample.elastic_respawns);
+  const kfac::KfacPreconditioner::StepReport no_kfac;
   const comm::net::faultnet::InjectCounts faults =
       comm::net::faultnet::counts();
-  faultnet_total_->set(faults.total);
-  faultnet_refused_->set(faults.refused);
-  faultnet_resets_->set(faults.resets);
-  faultnet_stalls_->set(faults.stalls);
-  faultnet_short_writes_->set(faults.short_writes);
-  faultnet_bitflips_->set(faults.bitflips);
-  faultnet_aborts_->set(faults.aborts);
-
-  train_loss_->set(sample.loss);
-  train_accuracy_->set(sample.accuracy);
-  train_lr_->set(sample.lr);
-  train_step_seconds_->set(sample.step_seconds);
-  data_load_seconds_->set(sample.data_seconds);
-  train_forward_seconds_->set(sample.forward_seconds);
-  train_backward_seconds_->set(sample.backward_seconds);
-  comm_grad_seconds_->set(sample.grad_comm_seconds);
-  train_apply_seconds_->set(sample.apply_seconds);
-  async_comm_seconds_->set(comm.async.comm_seconds);
-  async_wait_seconds_->set(comm.async.wait_seconds);
-
-  const OverlapDerived overlap = derive_overlap(comm.async);
-  overlap_hidden_seconds_->set(overlap.hidden_seconds);
-  overlap_exposed_seconds_->set(overlap.exposed_seconds);
-
-  if (report != nullptr) {
-    if (report->factors_updated) kfac_factor_updates_->add(1);
-    if (report->decompositions_updated) kfac_decomp_updates_->add(1);
-    kfac_decomp_intra_->add(
-        static_cast<uint64_t>(report->decomp_intra_tasks));
-    kfac_decomp_inter_->add(
-        static_cast<uint64_t>(report->decomp_inter_tasks));
-    kfac_factor_seconds_->set(report->factor_seconds);
-    kfac_decomposition_seconds_->set(report->decomposition_seconds);
-    kfac_precondition_seconds_->set(report->precondition_seconds);
+  const StepInputs in{sample, comm, report != nullptr ? *report : no_kfac,
+                      arena, faults};
+  const Tracer& tracer = Tracer::instance();
+  for (Bound& m : metrics_) {
+    if (m.span != 0) {
+      const Ticks now = tracer.thread_totals(m.span).ticks;
+      m.gauge->set(static_cast<double>(now - m.last_ticks) * kSecondsPerTick);
+      m.last_ticks = now;
+    } else if (m.counter != nullptr) {
+      const auto value = static_cast<uint64_t>(m.spec->read(in));
+      if (m.spec->per_step) {
+        m.counter->add(value);
+      } else {
+        m.counter->set(value);
+      }
+    } else {
+      m.gauge->set(m.spec->read(in));
+    }
   }
 
   if (out_.is_open()) {

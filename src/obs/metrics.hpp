@@ -1,36 +1,37 @@
-// Bridges the repo's existing stat structs (comm::CommStats,
-// kfac::KfacPreconditioner::StepReport, comm::ArenaStats) into an
-// obs::Registry under stable dotted names and streams one JSONL record
-// per training step. Also derives the paper's Fig. 4 quantity —
-// communication hidden behind backprop vs exposed — from trace-span
-// aggregates when tracing is on, falling back to the AsyncCommStats
-// timers when it is not.
+// The per-step metrics schema and its JSONL logger. One declared table
+// (metric_schema()) names every metric with its kind, unit and source;
+// StepMetricsLogger registers it into an obs::Registry and streams one
+// JSONL record per training step. Every duration comes from a span: phase
+// times are per-step deltas of the recording thread's span aggregates —
+// rank 0's main thread, so one rank's figures on either backend — and the
+// comm.async.* / comm.overlap.* times from the executor's span-timed
+// AsyncCommStats. The README metrics table mirrors the schema row for row
+// (tests/obs/registry_test.cpp checks it).
 #pragma once
 
 #include <fstream>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "comm/arena.hpp"
 #include "comm/communicator.hpp"
+#include "comm/net/faultnet.hpp"
 #include "core/preconditioner.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 
 namespace dkfac::obs {
 
 /// Per-step scalars the trainer hands the logger (everything not already
-/// carried by a stats struct).
+/// carried by a stats struct or timed by a span).
 struct StepSample {
   uint64_t step = 0;   ///< global step index (monotonic across epochs)
   uint64_t epoch = 0;
   double loss = 0.0;
   double accuracy = 0.0;      ///< running train accuracy this epoch
   double lr = 0.0;
-  double step_seconds = 0.0;
-  double data_seconds = 0.0;
-  double forward_seconds = 0.0;
-  double backward_seconds = 0.0;
-  double grad_comm_seconds = 0.0;  ///< synchronous grad-comm wall time
-  double apply_seconds = 0.0;      ///< optimizer + K-FAC apply
   /// Elastic-training counters (cumulative over the run): group
   /// re-formations survived so far, and K-FAC factor updates shed as
   /// straggler slack. Zero outside elastic runs.
@@ -43,21 +44,40 @@ struct StepSample {
   uint64_t elastic_respawns = 0;
 };
 
-/// Communication overlap split: hidden = collective time the main thread
-/// never blocked for; exposed = time it did.
-struct OverlapDerived {
-  double hidden_seconds = 0.0;
-  double exposed_seconds = 0.0;
+/// Everything one record() reads besides spans.
+struct StepInputs {
+  const StepSample& sample;
+  const comm::CommStats& comm;
+  /// This step's K-FAC report; all zero with K-FAC off.
+  const kfac::KfacPreconditioner::StepReport& report;
+  const comm::ArenaStats& arena;
+  const comm::net::faultnet::InjectCounts& faults;
 };
 
-/// Derives the overlap split from the executor's per-rank AsyncCommStats
-/// timers (hidden is exactly overlap_won_seconds()). The trace's span
-/// aggregates are per process — on thread ranks they sum every rank — so
-/// they are not used here.
-OverlapDerived derive_overlap(const comm::AsyncCommStats& async);
+enum class MetricKind { kCounter, kGauge };
 
-/// Owns a Registry wired with the full dotted-name schema plus the output
-/// stream for `train_cli --metrics <path>`. One record() call per step.
+/// One row of the metrics schema.
+struct MetricSpec {
+  std::string_view name;  ///< dotted JSONL key
+  MetricKind kind;
+  std::string_view unit;
+  /// Where the value comes from: the StepInputs expression read() returns,
+  /// or "span <name>" — the seconds the recording thread spent in that
+  /// span since the previous record.
+  std::string_view source;
+  /// Reads the value (null for span sources). A counter's read is its
+  /// running total, or this step's increment when `per_step` is set.
+  double (*read)(const StepInputs&) = nullptr;
+  bool per_step = false;
+};
+
+/// The schema, in declaration order (the JSONL sorts keys by name).
+std::span<const MetricSpec> metric_schema();
+
+/// Owns a Registry holding the schema plus the output stream for
+/// `train_cli --metrics <path>`. Construct it, and call record(), on the
+/// thread that runs the training step: span sources read that thread's
+/// aggregates.
 class StepMetricsLogger {
  public:
   /// Opens `path` for truncating write; throws dkfac::Error on failure.
@@ -65,9 +85,8 @@ class StepMetricsLogger {
   /// the registry — tests read it — but writes nothing).
   explicit StepMetricsLogger(const std::string& path);
 
-  /// Updates every metric from this step's stats and appends one JSONL
-  /// line. `report` may be null (K-FAC off); `arena` is the summed
-  /// comm-path arena stats.
+  /// Updates every metric and appends one JSONL line. `report` may be
+  /// null (K-FAC off); `arena` is the summed comm-path arena stats.
   void record(const StepSample& sample, const comm::CommStats& comm,
               const kfac::KfacPreconditioner::StepReport* report,
               const comm::ArenaStats& arena);
@@ -76,66 +95,22 @@ class StepMetricsLogger {
   bool writing() const { return out_.is_open(); }
 
  private:
+  /// A schema row bound to its registry handle.
+  struct Bound {
+    const MetricSpec* spec;
+    Registry::Counter* counter = nullptr;  ///< set for counters
+    Registry::Gauge* gauge = nullptr;      ///< set for gauges
+    uint32_t span = 0;  ///< interned span id for span sources, else 0
+    Ticks last_ticks = 0;  ///< span total at the previous record
+  };
+
   Registry registry_;
+  std::vector<Bound> metrics_;
   std::ofstream out_;
   /// A failed JSONL write has been reported (warn once, not per step —
   /// metrics are observability, so a full disk degrades to a warning
   /// instead of killing the training run).
   bool write_failure_logged_ = false;
-
-  // Counters (cumulative, set from the cumulative CommStats each step).
-  Registry::Counter* comm_allreduce_calls_;
-  Registry::Counter* comm_allreduce_bytes_;
-  Registry::Counter* comm_allgather_calls_;
-  Registry::Counter* comm_allgather_bytes_;
-  Registry::Counter* comm_broadcast_calls_;
-  Registry::Counter* comm_broadcast_bytes_;
-  Registry::Counter* comm_wire_sent_bytes_;
-  Registry::Counter* comm_wire_recv_bytes_;
-  Registry::Counter* factor_dense_bytes_;
-  Registry::Counter* factor_packed_bytes_;
-  Registry::Counter* factor_encoded_bytes_;
-  Registry::Counter* decomp_dense_bytes_;
-  Registry::Counter* decomp_packed_bytes_;
-  Registry::Counter* arena_bytes_reserved_;
-  Registry::Counter* arena_steady_allocs_;
-  Registry::Counter* async_submitted_;
-  Registry::Counter* async_batches_;
-  Registry::Counter* kfac_factor_updates_;
-  Registry::Counter* kfac_decomp_updates_;
-  Registry::Counter* kfac_decomp_intra_;
-  Registry::Counter* kfac_decomp_inter_;
-  Registry::Counter* elastic_reformations_;
-  Registry::Counter* elastic_skipped_factor_steps_;
-  Registry::Counter* elastic_joins_;
-  Registry::Counter* elastic_respawns_;
-  // faultnet injection counters, read straight from the global faultnet
-  // atomics at record() time (zero when no plan is armed).
-  Registry::Counter* faultnet_total_;
-  Registry::Counter* faultnet_refused_;
-  Registry::Counter* faultnet_resets_;
-  Registry::Counter* faultnet_stalls_;
-  Registry::Counter* faultnet_short_writes_;
-  Registry::Counter* faultnet_bitflips_;
-  Registry::Counter* faultnet_aborts_;
-
-  // Gauges (this step's values).
-  Registry::Gauge* train_loss_;
-  Registry::Gauge* train_accuracy_;
-  Registry::Gauge* train_lr_;
-  Registry::Gauge* train_step_seconds_;
-  Registry::Gauge* data_load_seconds_;
-  Registry::Gauge* train_forward_seconds_;
-  Registry::Gauge* train_backward_seconds_;
-  Registry::Gauge* comm_grad_seconds_;
-  Registry::Gauge* train_apply_seconds_;
-  Registry::Gauge* async_comm_seconds_;
-  Registry::Gauge* async_wait_seconds_;
-  Registry::Gauge* overlap_hidden_seconds_;
-  Registry::Gauge* overlap_exposed_seconds_;
-  Registry::Gauge* kfac_factor_seconds_;
-  Registry::Gauge* kfac_decomposition_seconds_;
-  Registry::Gauge* kfac_precondition_seconds_;
 };
 
 }  // namespace dkfac::obs

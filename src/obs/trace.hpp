@@ -1,18 +1,28 @@
-// Low-overhead phase tracing: per-thread ring buffers of timestamped
-// events, exported as Chrome trace_event JSON (Perfetto-loadable).
+// Phase timing and tracing. Every span times itself into a per-thread
+// aggregate table; with the runtime gate on, events are also recorded
+// into per-thread ring buffers exported as Chrome trace_event JSON
+// (Perfetto-loadable).
 //
-// Design contract, in priority order:
-//   1. Compiled out (-DDKFAC_TRACE_ENABLED=0): every DKFAC_TRACE_* macro
-//      collapses to nothing — zero code, zero data.
-//   2. Runtime off (the default): each macro costs one relaxed atomic
-//      load and a branch. Nothing else runs — no interning, no clock
-//      read, no buffer touch.
-//   3. Runtime on: emitting an event is a steady_clock read plus a store
-//      into this thread's preallocated ring. The hot path never takes a
-//      lock and never allocates once a thread's ring exists and its names
-//      are interned (both happen on first use — warm-up, by the same
-//      definition the comm arenas use). A full ring overwrites the OLDEST
-//      events and counts the drops; recording never blocks the caller.
+// Design contract, two tiers:
+//   1. Gate off (the default): a span is two steady_clock reads plus two
+//      relaxed load/store pairs into the calling thread's aggregate table
+//      (16 KB, mapped at the thread's first span). Instant and counter
+//      events cost one relaxed atomic load and a branch. A thread that
+//      only times spans never gets a ring.
+//   2. Gate on: each event is additionally a store into this thread's
+//      preallocated ring. The hot path never takes a lock and never
+//      allocates once a thread's state exists and its names are interned
+//      (both happen on first use — warm-up, by the same definition the
+//      comm arenas use; a thread's ring is allocated at its first event
+//      with the gate on). A full ring overwrites the OLDEST events and
+//      counts the drops; recording never blocks the caller.
+//
+// Span sites intern their name on first use whatever the gate, so the
+// span aggregates are the one clock: metrics, the straggler vote and the
+// executor's overlap timers all read durations from spans. Aggregates are
+// kept per thread — a thread rank reads its own (thread_totals()), and
+// the by-name readers sum every thread of the process. They survive ring
+// wrap-around.
 //
 // Event model: scoped spans (begin/end pairs via SpanScope / the
 // DKFAC_TRACE_SCOPE macros, up to two u64 args attached at close),
@@ -20,32 +30,24 @@
 // stable u32 ids; macro call sites cache the id in a function-local
 // static so steady-state emission never looks at the intern table.
 //
-// Spans also feed per-name duration aggregates (relaxed atomic tick
-// sums), so derived metrics — e.g. communication time hidden behind
-// backprop — survive ring wrap-around and cost one fetch_add per span.
-//
 // Threading: emission is wait-free per thread (each thread owns its
-// ring). enable()/disable()/clear()/set_epoch_now() and snapshot() are
-// control-plane calls: they may race emission without corrupting memory
-// (indices are atomic), but a snapshot taken while writers are active can
-// observe a partially-written newest event — quiesce writers (the
-// trainer drains its executor) before exporting.
+// ring and its aggregate table). enable()/disable()/clear()/
+// set_epoch_now() and snapshot() are control-plane calls: they may race
+// emission without corrupting memory (indices and aggregates are
+// atomic), but a snapshot taken while writers are active can observe a
+// partially-written newest event — quiesce writers (the trainer drains
+// its executor) before exporting.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
-
-#ifndef DKFAC_TRACE_ENABLED
-#define DKFAC_TRACE_ENABLED 1
-#endif
 
 namespace dkfac::obs {
 
@@ -83,7 +85,7 @@ struct TraceEvent {
 class Tracer {
  public:
   /// The process-wide tracer. Never destroyed (trivially leaked at exit)
-  /// so late-exiting threads can always reach their buffers.
+  /// so late-exiting threads can always reach their state.
   static Tracer& instance();
 
   /// Hot-path gate: one relaxed atomic load.
@@ -92,17 +94,19 @@ class Tracer {
   }
 
   /// Starts recording. `ring_capacity` is events per thread; existing
-  /// rings are re-sized (call while no thread is emitting). Also stamps
-  /// the export epoch to "now" so timestamps start near zero —
-  /// set_epoch_now() after a cross-rank barrier refines it for merges.
+  /// rings are re-sized (call while no thread is emitting), and a thread
+  /// without one gets it at its first event. Also stamps the export
+  /// epoch to "now" so timestamps start near zero — set_epoch_now()
+  /// after a cross-rank barrier refines it for merges.
   void enable(size_t ring_capacity = kDefaultRingCapacity);
 
-  /// Stops recording. Buffers and their contents are retained for export.
+  /// Stops recording. Rings and their contents are retained for export;
+  /// spans keep timing into the aggregates.
   void disable();
 
   /// Drops all recorded events, aggregates, and drop counters. Interned
   /// names and thread registrations survive (call-site static ids and
-  /// thread_local buffer pointers stay valid).
+  /// thread_local state pointers stay valid).
   void clear();
 
   /// Interns `name`, returning its stable non-zero id. Allocates only on
@@ -124,6 +128,8 @@ class Tracer {
 
   // ---- emission (hot path) ----------------------------------------------
 
+  /// Stores one event into the calling thread's ring, allocating the ring
+  /// on the thread's first event.
   void emit(EventType type, uint32_t name, uint32_t arg1_name = 0,
             uint64_t arg1 = 0, uint32_t arg2_name = 0, uint64_t arg2 = 0,
             Ticks ticks = 0);
@@ -133,21 +139,35 @@ class Tracer {
     emit(EventType::kCounter, name, 0, value);
   }
 
-  /// Folds a closed span's duration into its per-name aggregate.
+  /// Folds a closed span's duration into the calling thread's aggregate.
   void add_aggregate(uint32_t name, Ticks duration);
 
   // ---- aggregates --------------------------------------------------------
 
-  /// Total recorded duration of all closed spans named `name` (0.0 if the
-  /// name was never seen). Survives ring wrap-around.
+  /// Closed-span totals of one name.
+  struct SpanTotals {
+    uint64_t count = 0;
+    Ticks ticks = 0;
+    double seconds() const {
+      return static_cast<double>(ticks) * kSecondsPerTick;
+    }
+  };
+
+  /// The calling thread's totals for span `name` (an interned id). On
+  /// thread ranks this is one rank's figure: each rank times its phases
+  /// on its own main thread.
+  SpanTotals thread_totals(uint32_t name) const;
+
+  /// Total duration and count of every closed span named `name`, summed
+  /// over all threads of the process (0 if the name was never seen).
   double aggregate_seconds(std::string_view name) const;
   uint64_t aggregate_count(std::string_view name) const;
 
   // ---- thread identity ---------------------------------------------------
 
   /// Labels the calling thread in exported traces ("main", "comm.worker",
-  /// ...). Sticky: applies to the thread's buffer whenever it registers,
-  /// so it is safe (and allocation-free) to call with tracing disabled.
+  /// ...). Sticky: applies to the thread's state whenever it registers,
+  /// so it is safe (and allocation-free) to call before any span.
   static void set_thread_name(std::string_view name);
 
   // ---- export ------------------------------------------------------------
@@ -159,36 +179,41 @@ class Tracer {
     std::vector<TraceEvent> events;  ///< oldest → newest
   };
 
-  /// Copies out every thread's surviving events. Quiesce writers first
-  /// (see header comment) for a tear-free snapshot.
+  /// Copies out the surviving events of every thread that has a ring.
+  /// Quiesce writers first (see header comment) for a tear-free snapshot.
   std::vector<ThreadSnapshot> snapshot() const;
 
   /// Total events overwritten across all threads.
   uint64_t dropped_events() const;
 
   static constexpr size_t kDefaultRingCapacity = 1 << 16;
-  /// Aggregate slots are preallocated so span-close fetch_adds never
-  /// resize anything; interning more names than this throws.
+  /// Aggregate slots per thread are preallocated so closing a span never
+  /// resizes anything; interning more names than this throws.
   static constexpr size_t kMaxNames = 1024;
 
  private:
-  Tracer();
+  Tracer() = default;
 
-  struct ThreadBuffer {
-    std::vector<TraceEvent> ring;
-    std::atomic<uint64_t> head{0};  ///< events ever written
-    uint32_t tid = 0;
-    std::string name;
-  };
-
+  /// Written only by the owning thread (relaxed load + store, no RMW);
+  /// atomic so the process-wide readers may race it.
   struct Aggregate {
     std::atomic<uint64_t> ticks{0};
     std::atomic<uint64_t> count{0};
   };
 
+  struct ThreadState {
+    std::array<Aggregate, kMaxNames> aggregates;  // index = id - 1
+    std::vector<TraceEvent> ring;  ///< empty until the first event
+    std::atomic<uint64_t> head{0};  ///< events ever written
+    uint32_t tid = 0;
+    std::string name;
+  };
+
   static std::atomic<bool>& enabled_flag();
-  static ThreadBuffer*& registered_buffer_slot();
-  ThreadBuffer& local_buffer();
+  static ThreadState*& registered_state_slot();
+  ThreadState& local_state();
+  /// Sum over every thread of one name's aggregate.
+  SpanTotals process_totals(std::string_view name) const;
 
   // Heterogeneous lookup so find(string_view) never materialises a
   // std::string — intern() after warm-up must not allocate.
@@ -199,25 +224,24 @@ class Tracer {
     }
   };
 
-  mutable std::mutex mutex_;  // intern table + buffer registry
+  mutable std::mutex mutex_;  // intern table + thread registry + rings
   std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>>
       name_ids_;
   std::vector<std::string> names_;  // index = id - 1
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  std::vector<ThreadState*> threads_;  // live for the process, like *this
   size_t ring_capacity_ = kDefaultRingCapacity;
   std::atomic<Ticks> epoch_{0};
-  std::unique_ptr<Aggregate[]> aggregates_;  // kMaxNames slots
 };
 
-/// RAII span. Construct with an interned name id (0 = inactive no-op —
-/// the macros pass 0 whenever tracing is off at entry). The destructor
-/// closes the span even if tracing was disabled mid-flight, keeping
-/// begin/end pairs balanced in the ring.
+/// RAII span: times the enclosing scope into the calling thread's
+/// aggregate for `name` (an interned id), and records begin/end events
+/// into the ring when the gate is on at open. The end event is emitted
+/// even if tracing was disabled mid-flight, keeping pairs balanced.
 class SpanScope {
  public:
-  explicit SpanScope(uint32_t name) : name_(name) {
-    if (name_ != 0) {
-      start_ = now_ticks();
+  explicit SpanScope(uint32_t name)
+      : name_(name), recording_(Tracer::enabled()), start_(now_ticks()) {
+    if (recording_) {
       Tracer::instance().emit(EventType::kBegin, name_, 0, 0, 0, 0, start_);
     }
   }
@@ -225,11 +249,13 @@ class SpanScope {
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
+  ~SpanScope() { close(); }
+
   /// Attaches a u64 arg, emitted with the closing event (max two; later
   /// calls overwrite the second slot). `arg_name` is interned on use —
-  /// a map find after first sight, nothing when the span is inactive.
+  /// a map find after first sight, nothing when the span is not recorded.
   void set_arg(std::string_view arg_name, uint64_t value) {
-    if (name_ == 0) return;
+    if (!recording_) return;
     const uint32_t id = Tracer::instance().intern(arg_name);
     if (arg1_name_ == 0 || arg1_name_ == id) {
       arg1_name_ = id;
@@ -240,39 +266,47 @@ class SpanScope {
     }
   }
 
-  bool active() const { return name_ != 0; }
+  /// True when the span is recorded into the ring (the gate was on at
+  /// open) — guards work done only to build args.
+  bool active() const { return recording_; }
 
-  ~SpanScope() {
-    if (name_ == 0) return;
-    const Ticks end = now_ticks();
+  /// Ends the span now instead of at scope exit; later calls (and the
+  /// destructor) do nothing.
+  void close() {
+    if (closed_) return;
+    closed_ = true;
+    end_ = now_ticks();
     Tracer& tracer = Tracer::instance();
-    tracer.emit(EventType::kEnd, name_, arg1_name_, arg1_, arg2_name_, arg2_,
-                end);
-    tracer.add_aggregate(name_, end - start_);
+    tracer.add_aggregate(name_, end_ - start_);
+    if (recording_) {
+      tracer.emit(EventType::kEnd, name_, arg1_name_, arg1_, arg2_name_,
+                  arg2_, end_);
+    }
+  }
+
+  /// Seconds since the span opened: up to now while it is open (one clock
+  /// read), its recorded duration once closed.
+  double seconds() const {
+    const Ticks end = closed_ ? end_ : now_ticks();
+    return static_cast<double>(end - start_) * kSecondsPerTick;
   }
 
  private:
   uint32_t name_ = 0;
+  bool recording_ = false;
+  bool closed_ = false;
   Ticks start_ = 0;
+  Ticks end_ = 0;
   uint32_t arg1_name_ = 0;
   uint32_t arg2_name_ = 0;
   uint64_t arg1_ = 0;
   uint64_t arg2_ = 0;
 };
 
-/// Compiled-out stand-in for SpanScope so call sites using the _NAMED
-/// macro keep compiling with DKFAC_TRACE_ENABLED=0.
-struct NullSpan {
-  void set_arg(std::string_view, uint64_t) {}
-  bool active() const { return false; }
-};
-
 }  // namespace dkfac::obs
 
 #define DKFAC_TRACE_CONCAT_IMPL(a, b) a##b
 #define DKFAC_TRACE_CONCAT(a, b) DKFAC_TRACE_CONCAT_IMPL(a, b)
-
-#if DKFAC_TRACE_ENABLED
 
 /// Interns a name once per call site (function-local static), then reads
 /// the cached id forever after.
@@ -284,19 +318,19 @@ struct NullSpan {
   }())
 
 /// Scoped span covering the rest of the enclosing block.
-#define DKFAC_TRACE_SCOPE(str)                                        \
-  ::dkfac::obs::SpanScope DKFAC_TRACE_CONCAT(dkfac_trace_scope_,      \
-                                             __COUNTER__)(            \
-      ::dkfac::obs::Tracer::enabled() ? DKFAC_TRACE_INTERN(str) : 0)
+#define DKFAC_TRACE_SCOPE(str)                                   \
+  ::dkfac::obs::SpanScope DKFAC_TRACE_CONCAT(dkfac_trace_scope_, \
+                                             __COUNTER__)(       \
+      DKFAC_TRACE_INTERN(str))
 
-/// Scoped span bound to `var` so args can be attached: var.set_arg(...).
+/// Scoped span bound to `var`, so args can be attached (var.set_arg) and
+/// the owner can read its duration (var.seconds()).
 #define DKFAC_TRACE_SCOPE_NAMED(var, str) \
-  ::dkfac::obs::SpanScope var(            \
-      ::dkfac::obs::Tracer::enabled() ? DKFAC_TRACE_INTERN(str) : 0)
+  ::dkfac::obs::SpanScope var(DKFAC_TRACE_INTERN(str))
 
 /// Scoped span whose name id is computed by the caller (pick one of
 /// several DKFAC_TRACE_INTERN'd names at runtime — e.g. per collective
-/// algorithm). `id_expr` must yield 0 when tracing is disabled.
+/// algorithm).
 #define DKFAC_TRACE_SCOPE_ID(var, id_expr) ::dkfac::obs::SpanScope var(id_expr)
 
 #define DKFAC_TRACE_INSTANT(str)                                      \
@@ -311,14 +345,3 @@ struct NullSpan {
       ::dkfac::obs::Tracer::instance().counter(                       \
           DKFAC_TRACE_INTERN(str), static_cast<uint64_t>(value));     \
   } while (0)
-
-#else  // DKFAC_TRACE_ENABLED == 0: macros vanish
-
-#define DKFAC_TRACE_INTERN(str) (uint32_t{0})
-#define DKFAC_TRACE_SCOPE(str) ((void)0)
-#define DKFAC_TRACE_SCOPE_NAMED(var, str) ::dkfac::obs::NullSpan var
-#define DKFAC_TRACE_SCOPE_ID(var, id_expr) ::dkfac::obs::NullSpan var
-#define DKFAC_TRACE_INSTANT(str) ((void)0)
-#define DKFAC_TRACE_COUNTER(str, value) ((void)0)
-
-#endif  // DKFAC_TRACE_ENABLED

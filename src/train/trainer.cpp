@@ -3,11 +3,9 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <optional>
 
-#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "comm/arena.hpp"
 #include "comm/async_executor.hpp"
@@ -207,11 +205,11 @@ TrainResult train_with_comm(const ModelFactory& factory,
   }
 
   TrainResult result;
-  const auto run_start = Clock::now();
+  DKFAC_TRACE_SCOPE_NAMED(run_span, "train.run");
   const int64_t batches = loader.batches_per_epoch();
 
-  // Per-step metrics stream (--metrics). Observability-only: the sample
-  // timings below are taken only when the logger exists, the CommStats /
+  // Per-step metrics stream (--metrics). Observability-only: phase times
+  // come from the spans below, which run either way, the CommStats /
   // ArenaStats snapshot is copied at the gradient-sync point — the one
   // spot where the async worker is provably idle, so reading the shared
   // counters races nothing — and no collective is added or moved.
@@ -226,8 +224,7 @@ TrainResult train_with_comm(const ModelFactory& factory,
 
   DKFAC_CHECK(config.start_epoch >= 0) << "start_epoch must be non-negative";
   for (int epoch = config.start_epoch; epoch < config.epochs; ++epoch) {
-    const auto epoch_start = Clock::now();
-    DKFAC_TRACE_SCOPE("train.epoch");
+    DKFAC_TRACE_SCOPE_NAMED(epoch_span, "train.epoch");
 
     // Damping and update-frequency decay at epoch boundaries (paper §V-C).
     if (kfac) {
@@ -263,7 +260,6 @@ TrainResult train_with_comm(const ModelFactory& factory,
       if (comm::net::faultnet::active()) {
         comm::net::faultnet::set_step(epoch, b);
       }
-      const auto step_start = Clock::now();
       const float frac_epoch =
           static_cast<float>(epoch) +
           static_cast<float>(b) / static_cast<float>(batches);
@@ -272,7 +268,6 @@ TrainResult train_with_comm(const ModelFactory& factory,
       if (kfac) kfac->set_lr(lr);
 
       data::Batch batch = loader.batch(epoch, b);
-      const auto t_data = Clock::now();
       model->zero_grad();
       Tensor logits;
       {
@@ -280,7 +275,6 @@ TrainResult train_with_comm(const ModelFactory& factory,
         faultnet_phase(comm::net::faultnet::Phase::kForward);
         logits = model->forward(batch.images);
       }
-      const auto t_forward = Clock::now();
       nn::LossResult loss =
           nn::softmax_cross_entropy(logits, batch.labels, config.label_smoothing);
       // With overlap on, the readiness hooks stream per-layer gradient
@@ -290,7 +284,8 @@ TrainResult train_with_comm(const ModelFactory& factory,
         faultnet_phase(comm::net::faultnet::Phase::kBackward);
         model->backward(loss.grad);
       }
-      const auto t_backward = Clock::now();
+      // This rank's compute time so far: the straggler vote's input.
+      const double compute_seconds = step_span.seconds();
 
       {
         DKFAC_TRACE_SCOPE("train.grad_comm");
@@ -304,7 +299,6 @@ TrainResult train_with_comm(const ModelFactory& factory,
           grad_fusion->execute(comm::ReduceOp::kAverage);
         }
       }
-      const auto t_grad = Clock::now();
       // The async worker is provably idle here (wait() above drained it, or
       // there is no worker): the one race-free spot to copy the shared
       // counters. Factor comm submitted by kfac->step() below is in flight
@@ -340,8 +334,7 @@ TrainResult train_with_comm(const ModelFactory& factory,
       if (kfac && config.straggler_slack_s > 0.0 && comm.size() > 1 &&
           global_step > 0 && kfac->factor_update_due()) {
         DKFAC_TRACE_SCOPE("elastic.straggler_vote");
-        double mine =
-            std::chrono::duration<double>(t_backward - step_start).count();
+        double mine = compute_seconds;
         if (config.straggler_lag_hook) {
           mine += config.straggler_lag_hook(comm.rank(),
                                             static_cast<int64_t>(global_step));
@@ -363,7 +356,7 @@ TrainResult train_with_comm(const ModelFactory& factory,
         if (kfac) kfac->step();                 // preconditioner.step()
         optimizer->step();                      // optimizer.step()
       }
-      const auto t_apply = Clock::now();
+      step_span.close();  // the step ends here, before record() reads it
 
       loss_sum += loss.loss;
       acc_sum += nn::accuracy(logits, batch.labels);
@@ -371,21 +364,12 @@ TrainResult train_with_comm(const ModelFactory& factory,
       ++global_step;
 
       if (metrics_logger) {
-        const auto secs = [](Clock::time_point a, Clock::time_point z) {
-          return std::chrono::duration<double>(z - a).count();
-        };
         obs::StepSample sample;
         sample.step = global_step;
         sample.epoch = static_cast<uint64_t>(epoch);
         sample.loss = loss.loss;
         sample.accuracy = acc_sum / static_cast<double>(b + 1);
         sample.lr = lr;
-        sample.step_seconds = secs(step_start, t_apply);
-        sample.data_seconds = secs(step_start, t_data);
-        sample.forward_seconds = secs(t_data, t_forward);
-        sample.backward_seconds = secs(t_forward, t_backward);
-        sample.grad_comm_seconds = secs(t_backward, t_grad);
-        sample.apply_seconds = secs(t_grad, t_apply);
         sample.elastic_reformations = config.elastic_reformations;
         sample.elastic_skipped_factor_steps =
             config.skipped_factor_steps_baseline + result.skipped_factor_steps;
@@ -410,7 +394,7 @@ TrainResult train_with_comm(const ModelFactory& factory,
     metrics.train_loss = stats[0];
     metrics.train_accuracy = stats[1];
     metrics.val_accuracy = evaluate(*model, val_set, comm, config.eval_batch);
-    metrics.seconds = std::chrono::duration<double>(Clock::now() - epoch_start).count();
+    metrics.seconds = epoch_span.seconds();
     result.epochs.push_back(metrics);
     result.best_val_accuracy = std::max(result.best_val_accuracy, metrics.val_accuracy);
     // Durable elastic checkpoint: rank 0 persists the epoch's weights so a
@@ -422,7 +406,7 @@ TrainResult train_with_comm(const ModelFactory& factory,
 
   result.final_val_accuracy =
       result.epochs.empty() ? 0.0f : result.epochs.back().val_accuracy;
-  result.total_seconds = std::chrono::duration<double>(Clock::now() - run_start).count();
+  result.total_seconds = run_span.seconds();
   model->set_backward_hook(nullptr);
   result.comm_stats = comm.stats();
   if (executor) result.comm_stats.async = executor->stats();

@@ -527,24 +527,16 @@ TEST(Kfac, PiDampingWorksDistributed) {
   });
 }
 
-TEST(Kfac, InvalidFusionCapacityRejectedAsOptionsError) {
-  KfacOptions opts;
-  opts.fusion_capacity_bytes = 3;  // smaller than one float
-  EXPECT_THROW(opts.validate(), Error);
-  opts.fusion_capacity_bytes = 0;  // auto: derive from the cost model
-  EXPECT_NO_THROW(opts.validate());
-
-  // Construction must surface the same options error, not a low-level
-  // fusion-buffer failure from the member-init list.
+TEST(Kfac, InvalidOptionsRejectedAtConstruction) {
+  // The constructor validates before building anything from the options,
+  // so a bad option set surfaces as the options error itself.
   Rng rng(180);
   nn::LayerPtr model = nn::mlp(3, 4, 2, rng);
   comm::SelfComm comm;
   KfacOptions bad = base_options();
-  bad.fusion_capacity_bytes = 2;
+  bad.damping = 0.0f;
   EXPECT_THROW(KfacPreconditioner(*model, comm, bad), Error);
-  KfacOptions tiny = base_options();
-  tiny.fusion_capacity_bytes = sizeof(float);  // legal 1-element buffer
-  EXPECT_NO_THROW(KfacPreconditioner(*model, comm, tiny));
+  EXPECT_NO_THROW(KfacPreconditioner(*model, comm, base_options()));
 }
 
 TEST(Kfac, InvalidRankFractionThrows) {

@@ -1,9 +1,10 @@
-// obs::Registry + StepMetricsLogger + derive_overlap contracts:
-// registration returns stable handles and rejects duplicate names,
-// lookups type-check, write_jsonl emits one parseable sorted object per
-// step (non-finite gauges as null), the logger maps every legacy
-// CommStats/StepReport field to its dotted name, and the overlap
-// derivation matches AsyncCommStats::overlap_won_seconds().
+// obs::Registry + StepMetricsLogger contracts: registration returns
+// stable handles and rejects duplicate names, lookups type-check,
+// write_jsonl emits one parseable sorted object per step (non-finite
+// gauges as null), the logger maps every stats field to its dotted name,
+// splits overlap from the executor's timers, reads phase times as
+// per-step deltas of this thread's span aggregates, and the README
+// metrics table matches the declared schema.
 #include "obs/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,12 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "json_util.hpp"
@@ -79,25 +84,6 @@ TEST(Registry, JsonlLineParsesWithSortedKeysAndNullNonFinite) {
   EXPECT_LT(line.find("m.nan"), line.find("z.last"));
 }
 
-// ---- derive_overlap --------------------------------------------------------
-
-TEST(DeriveOverlap, TimerPathMatchesOverlapWonCounter) {
-  Tracer::instance().disable();
-  comm::AsyncCommStats async;
-  async.comm_seconds = 2.0;
-  async.wait_seconds = 0.5;
-  const OverlapDerived d = derive_overlap(async);
-  EXPECT_DOUBLE_EQ(d.hidden_seconds, async.overlap_won_seconds());
-  EXPECT_DOUBLE_EQ(d.hidden_seconds, 1.5);
-  EXPECT_DOUBLE_EQ(d.exposed_seconds, 0.5);
-
-  // Fully exposed: waited longer than the collectives ran.
-  async.wait_seconds = 3.0;
-  const OverlapDerived e = derive_overlap(async);
-  EXPECT_DOUBLE_EQ(e.hidden_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(e.exposed_seconds, 2.0);
-}
-
 // ---- StepMetricsLogger -----------------------------------------------------
 
 TEST(StepMetricsLogger, MapsLegacyStatsToDottedNamesAndWritesJsonl) {
@@ -112,7 +98,6 @@ TEST(StepMetricsLogger, MapsLegacyStatsToDottedNamesAndWritesJsonl) {
   sample.loss = 2.25;
   sample.accuracy = 0.5;
   sample.lr = 0.05;
-  sample.step_seconds = 0.25;
 
   comm::CommStats stats;
   stats.allreduce_calls = 3;
@@ -126,7 +111,6 @@ TEST(StepMetricsLogger, MapsLegacyStatsToDottedNamesAndWritesJsonl) {
   report.decompositions_updated = 2;
   report.decomp_intra_tasks = 1;
   report.decomp_inter_tasks = 1;
-  report.factor_seconds = 0.01;
 
   comm::ArenaStats arena;
   arena.bytes_reserved = 8192;
@@ -165,6 +149,108 @@ TEST(StepMetricsLogger, MapsLegacyStatsToDottedNamesAndWritesJsonl) {
     EXPECT_TRUE(root.has("kfac.factor_seconds"));
   }
   EXPECT_EQ(lines, 2);
+}
+
+TEST(StepMetricsLogger, SplitsOverlapFromExecutorTimers) {
+  StepMetricsLogger logger("");
+  Registry& reg = logger.registry();
+  comm::CommStats stats;
+  stats.async.comm_seconds = 2.0;
+  stats.async.wait_seconds = 0.5;
+  logger.record(StepSample{}, stats, nullptr, comm::ArenaStats{});
+  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.hidden_seconds").value(),
+                   stats.async.overlap_won_seconds());
+  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.hidden_seconds").value(), 1.5);
+  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.exposed_seconds").value(), 0.5);
+
+  // Fully exposed: waited longer than the collectives ran.
+  stats.async.wait_seconds = 3.0;
+  logger.record(StepSample{}, stats, nullptr, comm::ArenaStats{});
+  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.hidden_seconds").value(), 0.0);
+  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.exposed_seconds").value(), 2.0);
+}
+
+TEST(StepMetricsLogger, PhaseGaugesAreThisThreadsSpanTimePerStep) {
+  Tracer& tracer = Tracer::instance();
+  tracer.disable();
+  {
+    DKFAC_TRACE_SCOPE("train.forward");  // before the logger: not counted
+  }
+  StepMetricsLogger logger("");
+  Registry::Gauge& forward = logger.registry().gauge("train.forward_seconds");
+  const uint32_t id = tracer.find_name("train.forward");
+  const Tracer::SpanTotals start = tracer.thread_totals(id);
+  {
+    DKFAC_TRACE_SCOPE("train.forward");
+  }
+  // Another thread's span of the same name is another rank's phase.
+  std::thread([] { DKFAC_TRACE_SCOPE("train.forward"); }).join();
+  logger.record(StepSample{}, comm::CommStats{}, nullptr, comm::ArenaStats{});
+  const Tracer::SpanTotals now = tracer.thread_totals(id);
+  EXPECT_EQ(now.count, start.count + 1);
+  EXPECT_EQ(forward.value(),
+            static_cast<double>(now.ticks - start.ticks) * kSecondsPerTick);
+  EXPECT_GT(forward.value(), 0.0);
+
+  // A step without the span reads zero.
+  logger.record(StepSample{}, comm::CommStats{}, nullptr, comm::ArenaStats{});
+  EXPECT_EQ(forward.value(), 0.0);
+}
+
+// The README's metrics table, between its marker comments: a header row,
+// a separator, then one row per metric — | `name` | kind | unit | source |,
+// backticks ignored.
+TEST(StepMetricsLogger, ReadmeTableMatchesSchema) {
+  std::ifstream readme(DKFAC_README_PATH);
+  ASSERT_TRUE(readme.good()) << DKFAC_README_PATH;
+  using Row = std::tuple<std::string, std::string, std::string>;
+  std::map<std::string, Row> documented;
+  bool inside = false;
+  std::string line;
+  while (std::getline(readme, line)) {
+    if (line.find("<!-- metrics-schema:begin -->") != std::string::npos) {
+      inside = true;
+    } else if (line.find("<!-- metrics-schema:end -->") != std::string::npos) {
+      inside = false;
+    } else if (inside && line.rfind("|", 0) == 0) {
+      std::vector<std::string> cells;
+      std::string cell;
+      for (char c : line.substr(1)) {
+        if (c == '|') {
+          const size_t first = cell.find_first_not_of(' ');
+          const size_t last = cell.find_last_not_of(' ');
+          cells.push_back(first == std::string::npos
+                              ? ""
+                              : cell.substr(first, last - first + 1));
+          cell.clear();
+        } else if (c != '`') {
+          cell += c;
+        }
+      }
+      ASSERT_EQ(cells.size(), 4u) << line;
+      if (cells[0] == "Metric" || cells[0].rfind("---", 0) == 0) continue;
+      EXPECT_TRUE(documented.emplace(cells[0], Row{cells[1], cells[2], cells[3]})
+                      .second)
+          << "README lists " << cells[0] << " twice";
+    }
+  }
+  ASSERT_FALSE(documented.empty()) << "no metrics table between the markers";
+
+  for (const MetricSpec& spec : metric_schema()) {
+    const std::string name(spec.name);
+    const auto it = documented.find(name);
+    if (it == documented.end()) {
+      ADD_FAILURE() << name << " is in the schema but not the README";
+      continue;
+    }
+    const Row declared{spec.kind == MetricKind::kCounter ? "counter" : "gauge",
+                       std::string(spec.unit), std::string(spec.source)};
+    EXPECT_EQ(it->second, declared) << name;
+    documented.erase(it);
+  }
+  for (const auto& [name, row] : documented) {
+    ADD_FAILURE() << name << " is in the README but not the schema";
+  }
 }
 
 TEST(StepMetricsLogger, EmptyPathDisablesWritingButKeepsRegistry) {

@@ -6,7 +6,9 @@
 //       multi-rank merge splices per-rank files onto one epoch-aligned
 //       timeline and rejects malformed inputs; (5) steady-state emission
 //       performs zero heap allocations — the same contract the comm
-//       arenas pin — and disabled macros cost nothing.
+//       arenas pin — and disabled macros cost nothing; (6) spans time
+//       themselves into per-thread aggregates whatever the gate, without
+//       giving a thread a ring.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -29,15 +31,18 @@
 // tests assert "zero allocations" directly instead of inferring it.
 namespace {
 std::atomic<uint64_t> g_new_calls{0};
+std::atomic<uint64_t> g_new_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -208,7 +213,61 @@ TEST(Trace, DisabledMacrosEmitNothing) {
   }
   Tracer::instance().enable();  // re-enable so snapshot reflects the ring
   EXPECT_EQ(find_thread("t.disabled").events.size(), 0u);
-  EXPECT_EQ(Tracer::instance().aggregate_count("disabled.warm"), 0u);
+  // The gate controls the ring only: the span still timed itself.
+  EXPECT_EQ(Tracer::instance().aggregate_count("disabled.warm"), 1u);
+}
+
+// ---- the clock: per-thread aggregates --------------------------------------
+
+TEST(Trace, ThreadsReadOnlyTheirOwnAggregates) {
+  reset_tracer();
+  Tracer& tracer = Tracer::instance();
+  const uint32_t id = tracer.intern("clock.per_thread");
+  auto work = [&tracer, id](int spans, Tracer::SpanTotals* own) {
+    for (int i = 0; i < spans; ++i) {
+      DKFAC_TRACE_SCOPE("clock.per_thread");
+    }
+    *own = tracer.thread_totals(id);
+  };
+  Tracer::SpanTotals a, b;
+  std::thread ta(work, 3, &a);
+  std::thread tb(work, 5, &b);
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a.count, 3u);
+  EXPECT_EQ(b.count, 5u);
+  EXPECT_EQ(tracer.thread_totals(id).count, 0u);  // this thread opened none
+  EXPECT_EQ(tracer.aggregate_count("clock.per_thread"), 8u);
+  EXPECT_DOUBLE_EQ(tracer.aggregate_seconds("clock.per_thread"),
+                   static_cast<double>(a.ticks + b.ticks) * kSecondsPerTick);
+}
+
+TEST(Trace, GateOffSpanIsTimedButNotRecorded) {
+  reset_tracer();
+  Tracer& tracer = Tracer::instance();
+  tracer.disable();
+  const uint64_t bytes_before = g_new_bytes.load(std::memory_order_relaxed);
+  Tracer::SpanTotals own;
+  double span_seconds = 0.0;
+  std::thread timer([&] {
+    Tracer::set_thread_name("t.timing_only");
+    DKFAC_TRACE_SCOPE_NAMED(span, "clock.gate_off");
+    EXPECT_FALSE(span.active());
+    span.close();
+    span_seconds = span.seconds();
+    own = tracer.thread_totals(tracer.find_name("clock.gate_off"));
+  });
+  timer.join();
+  const uint64_t bytes =
+      g_new_bytes.load(std::memory_order_relaxed) - bytes_before;
+  EXPECT_EQ(own.count, 1u);
+  EXPECT_DOUBLE_EQ(own.seconds(), span_seconds);
+  // No ring: the thread is absent from the snapshot, and everything
+  // allocated while it ran is under one ring's worth of bytes.
+  for (const auto& snap : tracer.snapshot()) {
+    EXPECT_NE(snap.name, "t.timing_only");
+  }
+  EXPECT_LT(bytes, Tracer::kDefaultRingCapacity * sizeof(TraceEvent));
 }
 
 // ---- exporter --------------------------------------------------------------
@@ -400,18 +459,17 @@ TEST(TraceAlloc, SteadyStateEmissionAllocatesNothing) {
 
 TEST(TraceAlloc, DisabledMacrosAllocateNothing) {
   reset_tracer();
-  {
-    DKFAC_TRACE_SCOPE("alloc.disabled.warmed_site");  // init call-site static
-  }
   Tracer::instance().disable();
-  const uint64_t before = g_new_calls.load(std::memory_order_relaxed);
-  for (int i = 0; i < 2000; ++i) {
+  auto emit_all = [](int i) {
     DKFAC_TRACE_SCOPE("alloc.disabled.warmed_site");
     DKFAC_TRACE_SCOPE_NAMED(span, "alloc.disabled.named_site");
     span.set_arg("alloc.disabled.arg_name_long", 1);
     DKFAC_TRACE_INSTANT("alloc.disabled.instant_site");
     DKFAC_TRACE_COUNTER("alloc.disabled.counter_site", i);
-  }
+  };
+  emit_all(0);  // span sites intern on first use, whatever the gate
+  const uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+  for (int i = 0; i < 2000; ++i) emit_all(i);
   const uint64_t after = g_new_calls.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
 }

@@ -1,9 +1,8 @@
 // End-to-end observability contracts on a real (tiny) training run:
 // tracing ON produces bitwise-identical training to tracing OFF
 // (checkpoint bytes and per-epoch metrics), every trainer phase records
-// spans, the derived overlap split agrees with the executor's
-// overlap-won counter, and --metrics-style JSONL carries one parseable
-// record per step.
+// spans, --metrics-style JSONL carries one parseable record per step, and
+// on thread ranks its durations are rank 0's own span times.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +14,6 @@
 #include "json_util.hpp"
 #include "nn/resnet.hpp"
 #include "nn/serialize.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "train/trainer.hpp"
 
@@ -135,23 +133,6 @@ TEST(TraceTrain, EveryTrainerPhaseRecordsSpans) {
             0u);
 }
 
-TEST(TraceTrain, DerivedOverlapAgreesWithOverlapWonCounter) {
-  const RunOutput on = run_tiny(true, "overlap");
-  Tracer& tracer = Tracer::instance();
-  tracer.enable();  // with the run's span aggregates still live
-  const comm::AsyncCommStats& async = on.result.comm_stats.async;
-  ASSERT_GT(async.comm_seconds, 0.0);
-  const OverlapDerived derived = derive_overlap(async);
-  tracer.disable();
-
-  // The split comes from the per-rank timers alone, tracing on or off.
-  EXPECT_EQ(derived.hidden_seconds, async.overlap_won_seconds());
-  EXPECT_DOUBLE_EQ(derived.hidden_seconds + derived.exposed_seconds,
-                   async.comm_seconds);
-  EXPECT_GE(derived.hidden_seconds, 0.0);
-  EXPECT_GE(derived.exposed_seconds, 0.0);
-}
-
 TEST(TraceTrain, MetricsJsonlHasOneRecordPerStep) {
   const std::string metrics =
       ::testing::TempDir() + "dkfac_trace_train_metrics.jsonl";
@@ -174,6 +155,60 @@ TEST(TraceTrain, MetricsJsonlHasOneRecordPerStep) {
     EXPECT_GT(root.at("train.loss").number(), 0.0);
   }
   EXPECT_EQ(step, static_cast<uint64_t>(on.result.iterations));
+}
+
+TEST(TraceTrain, MetricsTimesAreOneRanksSpans) {
+  // Gate off: the spans time themselves whether or not tracing records.
+  Tracer::instance().disable();
+  const std::string metrics =
+      ::testing::TempDir() + "dkfac_trace_train_clock.jsonl";
+  train::TrainConfig config = tiny_config(2);
+  config.kfac.factor_update_freq = 2;  // some records without a factor update
+  config.metrics_path = metrics;
+  const train::TrainResult result =
+      train::train_distributed(tiny_cnn_factory(), tiny_spec(), config, 2);
+
+  std::ifstream in(metrics);
+  ASSERT_TRUE(in.good());
+  const int64_t batches =
+      result.iterations / static_cast<int64_t>(result.epochs.size());
+  std::vector<double> epoch_step_seconds(result.epochs.size(), 0.0);
+  std::string line;
+  int64_t records = 0;
+  int64_t update_records = 0;
+  double factor_updates = 0.0;
+  while (std::getline(in, line)) {
+    const JsonValue root = parse_json(line);
+    ++records;
+    const auto at = [&root](const char* key) { return root.at(key).number(); };
+    // The phases nest inside the step on rank 0's main thread. 1e-9 covers
+    // the JSONL's nine significant digits.
+    const double phases = at("data.load_seconds") + at("train.forward_seconds") +
+                          at("train.backward_seconds") +
+                          at("comm.grad.seconds") + at("train.apply_seconds");
+    EXPECT_LE(phases, at("train.step_seconds") + 1e-9) << "step " << records;
+    epoch_step_seconds[static_cast<size_t>((records - 1) / batches)] +=
+        at("train.step_seconds");
+    // Factor time shows exactly on the steps that updated factors.
+    const bool updated = at("kfac.factor_updates") > factor_updates;
+    factor_updates = at("kfac.factor_updates");
+    update_records += updated ? 1 : 0;
+    EXPECT_EQ(at("kfac.factor_seconds") > 0.0, updated) << "step " << records;
+    // Hidden plus exposed is all of the executor's collective time.
+    const double comm = at("comm.async.comm_seconds");
+    EXPECT_NEAR(at("comm.overlap.hidden_seconds") +
+                    at("comm.overlap.exposed_seconds"),
+                comm, 1e-8 * comm)
+        << "step " << records;
+  }
+  EXPECT_EQ(records, result.iterations);
+  EXPECT_GT(update_records, 0);
+  EXPECT_LT(update_records, records);
+  // And the steps nest inside rank 0's epoch, timed by its epoch span.
+  for (size_t e = 0; e < result.epochs.size(); ++e) {
+    EXPECT_LE(epoch_step_seconds[e], result.epochs[e].seconds + 1e-9)
+        << "epoch " << e;
+  }
 }
 
 }  // namespace
