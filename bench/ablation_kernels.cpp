@@ -5,12 +5,21 @@
 // added a dedicated SYRK for the AᵀA/GᵀG factor statistics, and blocked /
 // parallelized the Cholesky and eigensolve. This bench keeps a verbatim
 // copy of the seed kernels ("legacy") and times both on the shapes the
-// paper puts on the critical path (Table 1 / Fig 10): square GEMMs from the
-// im2col path and the tall-skinny 4096×d AᵀA factor shape. (Conv2d's factor
-// path now calls syrk(cols, kNo) on the channel-major [d × N·OH·OW] patch
-// matrix; the rows below keep the AᵀA form so the trajectory stays
-// comparable.) Results land in BENCH_kernels.json so the kernel-perf
-// trajectory is a recorded artifact.
+// paper puts on the critical path (Table 1 / Fig 10):
+//   - square GEMMs, the im2col forward/backward shape;
+//   - AᵀA on 4096×d, the Linear-style factor orientation (kept from the
+//     first snapshot so the trajectory stays comparable);
+//   - AAᵀ on d×N·OH·OW, the factors Conv2d computes from its channel-major
+//     patch matrix: 72×8192, 144×2048 and 288×512 are the 3×3-conv A
+//     factors of the ResNet-8 (width 8, batch 32, 16×16 images) that the
+//     K-FAC perfbench workloads train;
+//   - gemv, transpose and the decompositions.
+// syrk runs its own one-pack Gram kernel (linalg/gram.hpp), whose
+// micro-kernel is picked from the CPU at run time. Each syrk row is timed
+// once per Gram micro-kernel this build and CPU support, through
+// detail::syrk_with, and records the kernel it ran; the legacy column of a
+// syrk row is the seed's full gemm (it had no syrk). Results land in
+// BENCH_kernels.json so the kernel-perf trajectory is a recorded artifact.
 //
 // This file is compiled WITHOUT the native-arch flags (bench/ uses the
 // default arch), so "legacy" is measured exactly as the seed built it.
@@ -20,6 +29,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -27,6 +37,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen.hpp"
+#include "linalg/gram.hpp"
 #include "tensor/random.hpp"
 
 namespace {
@@ -135,7 +146,29 @@ struct Row {
   double legacy_ms = 0.0;
   double new_ms = 0.0;
   double flops = 0.0;  // 0 → report ms only
+  const char* gram_kernel = nullptr;  // the Gram micro-kernel of a syrk row
 };
+
+/// One syrk row per Gram micro-kernel the CPU supports; `legacy_ms` is the
+/// seed's full gemm of the same product.
+void add_syrk_rows(std::vector<Row>& rows, const std::string& name,
+                   const Tensor& a, Trans trans, double legacy_ms, int reps) {
+  namespace gram = linalg::detail;
+  const int64_t n = trans == Trans::kYes ? a.dim(1) : a.dim(0);
+  const int64_t k = trans == Trans::kYes ? a.dim(0) : a.dim(1);
+  Tensor c(Shape{n, n});
+  for (gram::GramKernel kernel : gram::kGramKernels) {
+    if (!gram::gram_kernel_available(kernel)) continue;
+    Row row{name, legacy_ms, 0.0, 2.0 * static_cast<double>(k) * n * n,
+            gram::gram_kernel_name(kernel)};
+    row.new_ms = time_ms(
+        [&] {
+          gram::syrk_with(kernel, 1.0f / static_cast<float>(k), a, trans, 0.0f, c);
+        },
+        reps);
+    rows.push_back(row);
+  }
+}
 
 double gflops(double flops, double ms) {
   return ms > 0.0 ? flops / (ms * 1e6) : 0.0;
@@ -171,11 +204,9 @@ int main() {
     rows.push_back(row);
   }
 
-  // The factor-statistics shape: AᵀA with A = [4096, d] (N·OH·OW patches ×
-  // patch dim). Conv2d itself calls syrk(cols, kNo) on the same products
-  // laid out [d × N·OH·OW]. Legacy pays strided reads on the transposed
-  // operand; the packed kernel normalizes the transpose away, and syrk
-  // halves the flops.
+  // The factor-statistics shape: AᵀA with A = [4096, d] (rows × patch
+  // dim). Legacy pays strided reads on the transposed operand; the packed
+  // kernels normalize the transpose away, and syrk halves the flops.
   for (int64_t d : {27, 144, 288}) {
     const int64_t r = 4096;
     Rng rng(2);
@@ -195,11 +226,24 @@ int main() {
         reps);
     rows.push_back(gemm_row);
 
-    Row syrk_row{"syrk_ata_4096x" + std::to_string(d), 0, 0, flops};
-    syrk_row.legacy_ms = gemm_row.legacy_ms;  // legacy had no syrk: full gemm
-    syrk_row.new_ms = time_ms(
-        [&] { linalg::syrk(1.0f / r, a, Trans::kYes, 0.0f, c); }, reps);
-    rows.push_back(syrk_row);
+    add_syrk_rows(rows, "syrk_ata_4096x" + std::to_string(d), a, Trans::kYes,
+                  gemm_row.legacy_ms, reps);
+  }
+
+  // The shapes Conv2d calls: AAᵀ on the channel-major [d, N·OH·OW] patch
+  // matrix of each ResNet-8 stage's 3×3 conv.
+  for (auto [d, cols] : {std::pair<int64_t, int64_t>{72, 8192}, {144, 2048},
+                         {288, 512}}) {
+    Rng rng(5);
+    Tensor a = Tensor::randn(Shape{d, cols}, rng);
+    Tensor c(Shape{d, d});
+    const double legacy_ms = time_ms(
+        [&] {
+          legacy_gemm(1.0f / cols, a, Trans::kNo, a, Trans::kYes, 0.0f, c);
+        },
+        reps);
+    add_syrk_rows(rows, "syrk_aat_" + std::to_string(d) + "x" + std::to_string(cols),
+                  a, Trans::kNo, legacy_ms, reps);
   }
 
   // gemv and transpose (satellite kernels).
@@ -244,15 +288,15 @@ int main() {
   }
 
   // ---- report -------------------------------------------------------------
-  std::printf("\n%-22s %12s %12s %10s %10s %9s\n", "kernel", "legacy ms",
-              "new ms", "legacy GF", "new GF", "speedup");
+  std::printf("\n%-22s %-9s %12s %12s %10s %10s %9s\n", "kernel", "gram",
+              "legacy ms", "new ms", "legacy GF", "new GF", "speedup");
   for (const Row& row : rows) {
     const double speedup =
         row.legacy_ms > 0.0 && row.new_ms > 0.0 ? row.legacy_ms / row.new_ms : 0.0;
-    std::printf("%-22s %12.3f %12.3f %10.2f %10.2f %8.2fx\n",
-                row.kernel.c_str(), row.legacy_ms, row.new_ms,
-                gflops(row.flops, row.legacy_ms), gflops(row.flops, row.new_ms),
-                speedup);
+    std::printf("%-22s %-9s %12.3f %12.3f %10.2f %10.2f %8.2fx\n",
+                row.kernel.c_str(), row.gram_kernel ? row.gram_kernel : "-",
+                row.legacy_ms, row.new_ms, gflops(row.flops, row.legacy_ms),
+                gflops(row.flops, row.new_ms), speedup);
   }
 
   FILE* json = std::fopen("BENCH_kernels.json", "w");
@@ -265,12 +309,15 @@ int main() {
       const double speedup =
           row.legacy_ms > 0.0 && row.new_ms > 0.0 ? row.legacy_ms / row.new_ms
                                                   : 0.0;
+      const std::string gram_kernel =
+          row.gram_kernel ? "\"" + std::string(row.gram_kernel) + "\"" : "null";
       std::fprintf(json,
-                   "    {\"kernel\": \"%s\", \"legacy_ms\": %.4f, "
-                   "\"new_ms\": %.4f, \"legacy_gflops\": %.3f, "
-                   "\"new_gflops\": %.3f, \"speedup\": %.3f}%s\n",
-                   row.kernel.c_str(), row.legacy_ms, row.new_ms,
-                   gflops(row.flops, row.legacy_ms),
+                   "    {\"kernel\": \"%s\", \"gram_kernel\": %s, "
+                   "\"legacy_ms\": %.4f, \"new_ms\": %.4f, "
+                   "\"legacy_gflops\": %.3f, \"new_gflops\": %.3f, "
+                   "\"speedup\": %.3f}%s\n",
+                   row.kernel.c_str(), gram_kernel.c_str(), row.legacy_ms,
+                   row.new_ms, gflops(row.flops, row.legacy_ms),
                    gflops(row.flops, row.new_ms), speedup,
                    i + 1 < rows.size() ? "," : "");
     }

@@ -45,21 +45,31 @@ void BM_GemmTransposed(benchmark::State& state) {
 BENCHMARK(BM_GemmTransposed)->Arg(27)->Arg(144)->Arg(288);
 
 void BM_Syrk(benchmark::State& state) {
-  // The dedicated factor-statistics kernel: AᵀA via the upper triangle only.
-  // Items processed counts the full 2·r·d² so GFLOP/s is comparable with
+  // The dedicated factor-statistics kernel, upper triangle only: AᵀA on a
+  // [k, d] matrix (Linear's orientation) when AtA is 1, AAᵀ on a [d, k]
+  // matrix (Conv2d's channel-major patch matrix) when it is 0. Items
+  // processed counts the full 2·k·d² so GFLOP/s is comparable with
   // BM_GemmTransposed — the ~2× "effective" rate is the symmetry win.
-  const int64_t rows = 4096;
   const int64_t dim = state.range(0);
+  const int64_t depth = state.range(1);
+  const bool ata = state.range(2) != 0;
   Rng rng(2);
-  Tensor a = Tensor::randn(Shape{rows, dim}, rng);
+  Tensor a = ata ? Tensor::randn(Shape{depth, dim}, rng)
+                 : Tensor::randn(Shape{dim, depth}, rng);
   Tensor c(Shape{dim, dim});
+  const linalg::Trans trans = ata ? linalg::Trans::kYes : linalg::Trans::kNo;
   for (auto _ : state) {
-    linalg::syrk(1.0f / rows, a, linalg::Trans::kYes, 0.0f, c);
+    linalg::syrk(1.0f / depth, a, trans, 0.0f, c);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * 2 * rows * dim * dim);
+  state.SetItemsProcessed(state.iterations() * 2 * depth * dim * dim);
 }
-BENCHMARK(BM_Syrk)->Arg(27)->Arg(144)->Arg(288);
+BENCHMARK(BM_Syrk)
+    ->ArgNames({"d", "k", "AtA"})
+    ->Args({27, 4096, 1})
+    ->Args({144, 4096, 1})
+    ->Args({288, 4096, 1})
+    ->Args({72, 8192, 0});
 
 void BM_Gemv(benchmark::State& state) {
   const int64_t n = state.range(0);

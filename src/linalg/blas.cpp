@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "linalg/gemm_driver.hpp"
+#include "linalg/gram.hpp"
 #include "linalg/microkernel.hpp"
 #include "linalg/pack.hpp"
 #include "linalg/threading.hpp"
@@ -67,6 +68,11 @@ Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a, Trans trans_b) {
 }
 
 void syrk(float alpha, const Tensor& a, Trans trans, float beta, Tensor& c) {
+  detail::syrk_with(detail::gram_kernel_selected(), alpha, a, trans, beta, c);
+}
+
+void detail::syrk_with(GramKernel kernel, float alpha, const Tensor& a,
+                       Trans trans, float beta, Tensor& c) {
   check_rank2(a, "A");
   check_rank2(c, "C");
   const int64_t n = trans == Trans::kYes ? a.dim(1) : a.dim(0);
@@ -75,12 +81,8 @@ void syrk(float alpha, const Tensor& a, Trans trans, float beta, Tensor& c) {
       << "syrk output shape " << c.shape() << " expected [" << n << ", " << n << "]";
 
   apply_beta(beta, c.data(), c.numel());
-  // op1 = op(A) (n×k), op2 = op(A)ᵀ (k×n) — the same views gemm would build
-  // for the equivalent call, so the computed triangle matches it bitwise.
-  const OpView op1{a.data(), a.dim(1), trans == Trans::kYes};
-  const OpView op2{a.data(), a.dim(1), trans == Trans::kNo};
-  detail::gemm_driver(alpha, op1, op2, c.data(), n, n, n, k,
-                      /*upper_only=*/true);
+  gram_upper(kernel, alpha, a.data(), a.dim(1), trans == Trans::kYes, n, k,
+             c.data());
 
   // Mirror the computed upper triangle; C comes back exactly symmetric.
   float* pc = c.data();

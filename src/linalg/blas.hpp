@@ -7,7 +7,8 @@
 // buffers and driven through an FMA micro-kernel, so all four Trans
 // combinations run the same inner loop at the same speed. SYRK computes
 // symmetric Gram matrices (the K-FAC factor shape) at ~half the GEMM flops
-// by evaluating only the upper triangle and mirroring.
+// by evaluating only the upper triangle and mirroring, through its own
+// one-pack Gram kernel (gram.hpp).
 //
 // Every kernel accumulates each output element in a fixed order, so results
 // are bitwise identical regardless of OMP_NUM_THREADS (threads partition
@@ -39,8 +40,13 @@ Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a = Trans::kNo,
 ///   trans == kNo :  C = alpha * AAᵀ + beta * C   (A is [d, cols], C [d, d])
 /// Only the upper triangle is computed (~half the GEMM flops); the result is
 /// then mirrored so C comes back fully dense and exactly symmetric. The
-/// computed triangle is bitwise identical to the corresponding gemm call
-/// (same packing, same blocking, same per-element accumulation order).
+/// output is bitwise identical to the corresponding gemm call although the
+/// kernels differ: both compute every element as an FMA chain over
+/// ascending k that starts from zero within each 256-deep k-slab, and add
+/// the slab partials into C (`c += alpha * acc`) in slab order. The Gram
+/// micro-kernel is picked once from the CPU at run time: AVX-512 when the
+/// CPU and OS support avx512f, else AVX2 (both under DKFAC_NATIVE_ARCH),
+/// and the portable loops otherwise (see gram.hpp).
 /// With beta != 0, C is assumed symmetric: the lower triangle of the output
 /// is the mirror of the upper, so an asymmetric C's lower input is ignored.
 void syrk(float alpha, const Tensor& a, Trans trans, float beta, Tensor& c);

@@ -1,11 +1,13 @@
-// Goto-style GEMM macro-kernel, shared by the fp32 public kernels
-// (blas.cpp) and the fp64 decomposition internals (householder.cpp,
-// tridiag_dc.cpp, cholesky.cpp).
+// Goto-style GEMM macro-kernel, shared by fp32 gemm (blas.cpp) and the
+// fp64 decomposition internals (householder.cpp, tridiag_dc.cpp,
+// cholesky.cpp). fp32 syrk runs its own one-pack Gram kernel (gram.hpp),
+// which reuses write_tile below.
 //
 // The driver computes C += alpha·op(A)·op(B) over an arbitrary-leading-
 // dimension output (so decomposition code can hit trailing submatrices in
 // place), with an `upper_only` mode that skips micro-tiles strictly below
-// the diagonal — the SYRK/rank-2k path. The caller owns the beta pass.
+// the diagonal — the fp64 Cholesky panel update and Householder rank-2k
+// path. The caller owns the beta pass.
 //
 // Loop nest (jc → pc → ic ∥ → jr → ir): one parallel region wraps the
 // whole nest (per-thread A-pack allocated once per call); B-panels are

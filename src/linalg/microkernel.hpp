@@ -81,15 +81,16 @@ inline constexpr int64_t kMC = GemmBlocking<float>::kMc;
 inline constexpr int64_t kKC = GemmBlocking<float>::kKc;
 inline constexpr int64_t kNC = GemmBlocking<float>::kNc;
 
-/// acc[r*kNr + c] += Σ_k ap[k*kMr + r] · bp[k*kNr + c], k ascending.
-/// `ap` is an A sliver (kMr scalars per k step), `bp` a B sliver (kNr
+/// acc[r*kNr + c] += Σ_k ap[k*Mr + r] · bp[k*kNr + c], k ascending.
+/// `ap` is an A sliver (Mr scalars per k step), `bp` a B sliver (kNr
 /// scalars per k step); both are padded with zeros past the valid
-/// rows/columns.
-template <typename T>
+/// rows/columns. Mr is the GEMM tile height by default; the portable Gram
+/// kernel (gram.cpp) runs it on 16-row slivers.
+template <typename T, int64_t Mr = MicroTile<T>::kMr>
 [[maybe_unused]] static inline void microkernel_portable(int64_t kc,
                                                          const T* ap,
                                                          const T* bp, T* acc) {
-  constexpr int64_t mr = MicroTile<T>::kMr;
+  constexpr int64_t mr = Mr;
   constexpr int64_t nr = MicroTile<T>::kNr;
   for (int64_t k = 0; k < kc; ++k) {
     const T* a = ap + k * mr;

@@ -39,12 +39,13 @@ struct OpViewT {
 using OpView = OpViewT<float>;
 
 /// Pack rows [i0, i0+mc) × k-slab [k0, k0+kc) of op(A) into `buf`:
-/// sliver s (rows i0+s·kMr …) stores kMr consecutive rows k-major, i.e.
-/// buf[s·kMr·kc + k·kMr + r] = op(A)(i0 + s·kMr + r, k0 + k).
-template <typename T>
+/// sliver s (rows i0+s·Mr …) stores Mr consecutive rows k-major, i.e.
+/// buf[s·Mr·kc + k·Mr + r] = op(A)(i0 + s·Mr + r, k0 + k). Mr is the GEMM
+/// tile height by default; the Gram kernel (gram.hpp) packs 16-row slivers.
+template <typename T, int64_t Mr = MicroTile<T>::kMr>
 inline void pack_a(const OpViewT<T>& a, int64_t i0, int64_t mc, int64_t k0,
                    int64_t kc, T* buf) {
-  constexpr int64_t mr_tile = MicroTile<T>::kMr;
+  constexpr int64_t mr_tile = Mr;
   for (int64_t s0 = 0; s0 < mc; s0 += mr_tile) {
     const int64_t mr = std::min(mr_tile, mc - s0);
     T* dst = buf + s0 * kc;

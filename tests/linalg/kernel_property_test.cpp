@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen.hpp"
+#include "linalg/gram.hpp"
 #include "linalg/microkernel.hpp"
 #include "linalg/pack.hpp"
 #include "linalg/threading.hpp"
@@ -191,18 +193,75 @@ TEST(Syrk, BitwiseMatchesGemmTransposedGram) {
   }
 }
 
-TEST(Syrk, BitwiseMatchesGemmNoTransGram) {
-  // The AAᵀ orientation.
-  for (auto [d, cols] : {std::pair<int64_t, int64_t>{7, 29}, {33, 128}}) {
-    Rng rng(static_cast<uint64_t>(d * 7 + cols));
-    Tensor a = Tensor::randn(Shape{d, cols}, rng);
-    Tensor via_gemm(Shape{d, d});
-    gemm(2.0f, a, Trans::kNo, a, Trans::kYes, 0.0f, via_gemm);
-    Tensor via_syrk(Shape{d, d});
-    syrk(2.0f, a, Trans::kNo, 0.0f, via_syrk);
-    EXPECT_TRUE(bitwise_equal(via_syrk, via_gemm));
+/// The Gram table: d on both sides of the 16-row sliver edge and up to the
+/// conv A-factor widths, k on both sides of the 256-deep slab edge and up to
+/// the conv factor depths (N·OH·OW), both orientations, beta 0 and 0.5 (on
+/// a symmetric C), 1 and 3 OMP threads. Each `run_syrk` result must equal
+/// gemm's bit for bit, mirrored lower triangle included.
+template <typename SyrkFn>
+void expect_gram_table_matches_gemm(SyrkFn&& run_syrk) {
+  const int original = omp_get_max_threads();
+  for (int64_t d : {1, 8, 16, 17, 27, 31, 33, 72, 144, 288}) {
+    for (int64_t k : {255, 256, 257, 2048, 8192}) {
+      Rng rng(static_cast<uint64_t>(d * 7 + k));
+      Tensor c0 = Tensor::randn(Shape{d, d}, rng);
+      symmetrize(c0);
+      for (Trans trans : {Trans::kNo, Trans::kYes}) {
+        const Tensor a = trans == Trans::kNo ? Tensor::randn(Shape{d, k}, rng)
+                                             : Tensor::randn(Shape{k, d}, rng);
+        const Trans other = trans == Trans::kNo ? Trans::kYes : Trans::kNo;
+        const float alpha = 1.0f / static_cast<float>(k);
+        for (float beta : {0.0f, 0.5f}) {
+          // gemm is thread-count invariant (ThreadInvariance.*): one
+          // serial reference serves both syrk thread counts.
+          omp_set_num_threads(1);
+          Tensor via_gemm = c0;
+          gemm(alpha, a, trans, a, other, beta, via_gemm);
+          for (int threads : {1, 3}) {
+            omp_set_num_threads(threads);
+            Tensor via_syrk = c0;
+            run_syrk(alpha, a, trans, beta, via_syrk);
+            EXPECT_TRUE(bitwise_equal(via_syrk, via_gemm))
+                << "d=" << d << " k=" << k
+                << (trans == Trans::kNo ? " AAᵀ" : " AᵀA") << " beta=" << beta
+                << " threads=" << threads;
+          }
+          omp_set_num_threads(original);
+        }
+      }
+    }
   }
 }
+
+TEST(Syrk, BitwiseMatchesGemmNoTransGram) {
+  // The AAᵀ orientation every conv factor takes, and Linear's AᵀA, through
+  // the public syrk (the kernel the CPU selected).
+  expect_gram_table_matches_gemm(
+      [](float alpha, const Tensor& a, Trans trans, float beta, Tensor& c) {
+        syrk(alpha, a, trans, beta, c);
+      });
+}
+
+// Every Gram micro-kernel against gemm, the selected one and the others
+// this build and CPU can run; an AVX-512 machine checks its AVX2 kernel too.
+class GramKernelTest : public ::testing::TestWithParam<detail::GramKernel> {};
+
+TEST_P(GramKernelTest, BitwiseMatchesGemm) {
+  const detail::GramKernel kernel = GetParam();
+  if (!detail::gram_kernel_available(kernel)) {
+    GTEST_SKIP() << "Gram kernel " << detail::gram_kernel_name(kernel)
+                 << ": not in this build or not supported by this CPU";
+  }
+  expect_gram_table_matches_gemm(
+      [kernel](float alpha, const Tensor& a, Trans trans, float beta,
+               Tensor& c) { detail::syrk_with(kernel, alpha, a, trans, beta, c); });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Syrk, GramKernelTest, ::testing::ValuesIn(detail::kGramKernels),
+    [](const ::testing::TestParamInfo<detail::GramKernel>& info) {
+      return std::string(detail::gram_kernel_name(info.param));
+    });
 
 TEST(Syrk, OutputIsExactlySymmetric) {
   Rng rng(42);
