@@ -192,8 +192,7 @@ PipelineResult run_arena(Precision prec) {
       }
       arena.reset();
       const BufferView slot =
-          arena.alloc(static_cast<size_t>(packed_total), prec,
-                      BufferLayout::kTrianglePacked);
+          arena.alloc(static_cast<size_t>(packed_total), prec);
       const std::span<float> mem = slot.span();
       int64_t p = 0;
       int64_t e = 0;
@@ -209,8 +208,7 @@ PipelineResult run_arena(Precision prec) {
               mem.subspan(static_cast<size_t>(e), static_cast<size_t>(ec)),
               prec);  // in place: no inter-buffer traffic
           fusion.add(slot.subview(static_cast<size_t>(e),
-                                  static_cast<size_t>(ec), prec,
-                                  BufferLayout::kEncoded));
+                                  static_cast<size_t>(ec), prec));
         } else {
           fusion.add(
               slot.subview(static_cast<size_t>(p), static_cast<size_t>(c)));

@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,7 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "nn/resnet.hpp"
+#include "nn/sequential.hpp"
 #include "nn/serialize.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
@@ -177,15 +179,14 @@ int main(int argc, char** argv) {
   } else if (cli.model == "cnn") {
     factory = [](Rng& rng) { return nn::simple_cnn(3, 10, rng, 8); };
   } else if (cli.model == "mlp") {
-    factory = [](Rng& rng) { return nn::mlp(3 * 16 * 16, 64, 10, rng); };
+    factory = [](Rng& rng) {
+      auto net = std::make_unique<nn::Sequential>("flat_mlp");
+      net->emplace<nn::Flatten>("flatten");
+      net->add(nn::mlp(3 * 16 * 16, 64, 10, rng));
+      return nn::LayerPtr(std::move(net));
+    };
   } else {
     usage_and_exit();
-  }
-  const bool needs_flat_input = cli.model == "mlp";
-  if (needs_flat_input) {
-    std::fprintf(stderr, "note: mlp expects flattened input; use cnn/resnet* "
-                         "for image training\n");
-    return 2;
   }
 
   train::TrainConfig config;

@@ -20,30 +20,19 @@ size_t round_up_to_line(size_t floats) {
 
 }  // namespace
 
-const char* layout_name(BufferLayout layout) {
-  switch (layout) {
-    case BufferLayout::kDense: return "dense";
-    case BufferLayout::kTrianglePacked: return "triangle";
-    case BufferLayout::kEncoded: return "encoded";
-  }
-  DKFAC_CHECK(false) << "unknown buffer layout " << static_cast<int>(layout);
-  return "?";
-}
-
 std::span<float> BufferView::span() const {
   if (arena_ != nullptr) {
     const uint64_t now = arena_->epoch();
     DKFAC_CHECK(now == epoch_)
         << "arena reset while view live: view carved in epoch " << epoch_
-        << " (" << layout_name(layout_) << ", " << size_
-        << " floats) resolved in epoch " << now
+        << " (" << size_ << " floats) resolved in epoch " << now
         << " — its memory has been recycled";
   }
   return {data_, size_};
 }
 
-BufferView BufferView::subview(size_t offset, size_t count, Precision precision,
-                               BufferLayout layout) const {
+BufferView BufferView::subview(size_t offset, size_t count,
+                               Precision precision) const {
   DKFAC_CHECK(offset + count <= size_)
       << "subview [" << offset << ", " << offset + count
       << ") exceeds view of " << size_ << " floats";
@@ -51,16 +40,14 @@ BufferView BufferView::subview(size_t offset, size_t count, Precision precision,
   out.data_ = data_ + offset;
   out.size_ = count;
   out.precision_ = precision;
-  out.layout_ = layout;
   return out;
 }
 
-BufferView Arena::alloc(size_t floats, Precision precision,
-                        BufferLayout layout) {
+BufferView Arena::alloc(size_t floats, Precision precision) {
   std::lock_guard<std::mutex> lock(mutex_);
   const uint64_t epoch = epoch_.load(std::memory_order_relaxed);
   if (floats == 0) {
-    return BufferView(nullptr, 0, precision, layout, this, epoch);
+    return BufferView(nullptr, 0, precision, this, epoch);
   }
   // The bump cursor advances in whole cache lines so the NEXT allocation
   // starts aligned too; the requested view keeps its exact float count.
@@ -69,7 +56,7 @@ BufferView Arena::alloc(size_t floats, Precision precision,
     if (block.capacity - block.used >= take) {
       float* p = block.data.get() + block.used;
       block.used += take;
-      return BufferView(p, floats, precision, layout, this, epoch);
+      return BufferView(p, floats, precision, this, epoch);
     }
   }
   // No room: grow by one block. Sizing to at least the total already
@@ -91,7 +78,7 @@ BufferView Arena::alloc(size_t floats, Precision precision,
   stats_.bytes_reserved += capacity * sizeof(float);
   stats_.block_allocs++;
   if (steady_) stats_.steady_state_allocs++;
-  return BufferView(p, floats, precision, layout, this, epoch);
+  return BufferView(p, floats, precision, this, epoch);
 }
 
 void Arena::reset() {

@@ -12,10 +12,10 @@
 //               exchanges of a fixed shape reuse the same bytes forever —
 //               zero heap allocations on the hot path (the property
 //               ArenaStats::steady_state_allocs pins in CI).
-//   BufferView  pointer + length + Precision tag + layout tag. Every
-//               pipeline stage (pack, encode, fuse, collective, decode,
-//               unpack) reads and writes views in place instead of copying
-//               between stage-owned buffers.
+//   BufferView  pointer + length + Precision tag. Every pipeline stage
+//               (pack, encode, fuse, collective, decode, unpack) reads and
+//               writes views in place instead of copying between
+//               stage-owned buffers.
 //
 // Lifetime safety for in-flight views: every alloc() is stamped with the
 // arena's current epoch, and reset() bumps the epoch. span() — the ONE
@@ -41,17 +41,6 @@
 
 namespace dkfac::comm {
 
-/// What a view's bytes mean — the stage of the dense → packed → encoded
-/// pipeline the memory currently holds.
-enum class BufferLayout : uint8_t {
-  kDense = 0,           ///< plain row-major fp32 elements
-  kTrianglePacked = 1,  ///< SymmetricPacker upper triangle, row-major
-  kEncoded = 2,         ///< Codec 16-bit elements, bit-packed two per float
-};
-
-/// "dense" / "triangle" / "encoded".
-const char* layout_name(BufferLayout layout);
-
 /// Allocator-traffic counters (summed into CommStats by the trainer).
 struct ArenaStats {
   uint64_t bytes_reserved = 0;      ///< capacity of all live blocks
@@ -69,8 +58,8 @@ struct ArenaStats {
 class Arena;
 
 /// A typed window into comm memory: pointer + length (transport floats) +
-/// wire precision + pipeline layout. Copyable and cheap — views are the
-/// currency every stage of the factor pipeline trades in.
+/// wire precision. Copyable and cheap — views are the currency every
+/// stage of the factor pipeline trades in.
 class BufferView {
  public:
   BufferView() = default;
@@ -78,16 +67,13 @@ class BufferView {
   /// Unmanaged view over caller-owned storage (a tensor span, a test
   /// vector): no lifetime validation, the caller guarantees validity.
   explicit BufferView(std::span<float> data,
-                      Precision precision = Precision::kFp32,
-                      BufferLayout layout = BufferLayout::kDense)
-      : data_(data.data()), size_(data.size()), precision_(precision),
-        layout_(layout) {}
+                      Precision precision = Precision::kFp32)
+      : data_(data.data()), size_(data.size()), precision_(precision) {}
 
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
   size_t size_bytes() const { return size_ * sizeof(float); }
   Precision precision() const { return precision_; }
-  BufferLayout layout() const { return layout_; }
   bool arena_backed() const { return arena_ != nullptr; }
 
   /// The underlying memory. For arena-backed views this revalidates the
@@ -100,24 +86,22 @@ class BufferView {
   /// (overlap rejection, contiguity detection), never dereference.
   const float* address() const { return data_; }
 
-  /// A window into this view; tags default to the parent's.
+  /// A window into this view; the precision defaults to the parent's.
   BufferView subview(size_t offset, size_t count) const {
-    return subview(offset, count, precision_, layout_);
+    return subview(offset, count, precision_);
   }
-  BufferView subview(size_t offset, size_t count, Precision precision,
-                     BufferLayout layout) const;
+  BufferView subview(size_t offset, size_t count, Precision precision) const;
 
  private:
   friend class Arena;
-  BufferView(float* data, size_t size, Precision precision, BufferLayout layout,
+  BufferView(float* data, size_t size, Precision precision,
              const Arena* arena, uint64_t epoch)
-      : data_(data), size_(size), precision_(precision), layout_(layout),
-        arena_(arena), epoch_(epoch) {}
+      : data_(data), size_(size), precision_(precision), arena_(arena),
+        epoch_(epoch) {}
 
   float* data_ = nullptr;
   size_t size_ = 0;
   Precision precision_ = Precision::kFp32;
-  BufferLayout layout_ = BufferLayout::kDense;
   const Arena* arena_ = nullptr;  ///< nullptr → unmanaged (no validation)
   uint64_t epoch_ = 0;
 };
@@ -143,8 +127,7 @@ class Arena {
   /// blocks; a block is retained (and rewound by reset()) for the arena's
   /// lifetime, so a repeated alloc/reset cycle of fixed shape touches the
   /// heap exactly once.
-  BufferView alloc(size_t floats, Precision precision = Precision::kFp32,
-                   BufferLayout layout = BufferLayout::kDense);
+  BufferView alloc(size_t floats, Precision precision = Precision::kFp32);
 
   /// Rewinds every block and invalidates all outstanding views (their
   /// span() will throw from now on). Throws while the arena is pinned —

@@ -87,10 +87,7 @@ class AsyncExecutor {
   void submit(const BufferView& view, ReduceOp op);
   void submit(std::span<float> view, ReduceOp op,
               Precision precision = Precision::kFp32) {
-    submit(BufferView(view, precision,
-                      precision == Precision::kFp32 ? BufferLayout::kDense
-                                                    : BufferLayout::kEncoded),
-           op);
+    submit(BufferView(view, precision), op);
   }
   void submit(Tensor& t, ReduceOp op) { submit(t.span(), op); }
 

@@ -39,9 +39,7 @@ void FusionBuffer::add(const BufferView& view) {
 }
 
 void FusionBuffer::add(std::span<float> view, Precision precision) {
-  add(BufferView(view, precision,
-                 precision == Precision::kFp32 ? BufferLayout::kDense
-                                               : BufferLayout::kEncoded));
+  add(BufferView(view, precision));
 }
 
 void FusionBuffer::execute(ReduceOp op) {

@@ -5,8 +5,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -139,16 +141,40 @@ std::string trim(const std::string& s) {
   return s.substr(a, z - a + 1);
 }
 
-uint64_t parse_u64(const std::string& value, const std::string& field) {
-  try {
-    size_t pos = 0;
-    const unsigned long long v = std::stoull(value, &pos);
-    DKFAC_CHECK(pos == value.size());
-    return static_cast<uint64_t>(v);
-  } catch (const std::exception&) {
-    throw Error("faultnet: bad number in fault plan field '" + field + "=" +
-                value + "'");
+/// A field's decimal value: digits only (no sign, no blank) and no larger
+/// than the field's type holds.
+template <typename T>
+T parse_number(const std::string& value, const std::string& field) {
+  constexpr auto kMax = static_cast<uint64_t>(std::numeric_limits<T>::max());
+  uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, err] = std::from_chars(value.data(), end, v);
+  if (err != std::errc() || stop != end || v > kMax) {
+    throw Error("faultnet: fault plan field '" + field + "=" + value +
+                "' is not a whole number in [0, " + std::to_string(kMax) +
+                "]");
   }
+  return static_cast<T>(v);
+}
+
+/// Longest stall: sleep_for converts its argument to an integer count of
+/// the clock's nanoseconds, which holds about 292 years.
+constexpr double kMaxStallSeconds =
+    std::chrono::duration<double>(std::chrono::nanoseconds::max()).count();
+
+/// arg=X: a finite, non-negative number of stall seconds below
+/// kMaxStallSeconds.
+double parse_arg(const std::string& value) {
+  double v = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [stop, err] = std::from_chars(value.data(), end, v);
+  if (err != std::errc() || stop != end || !(v >= 0.0) ||
+      !(v < kMaxStallSeconds)) {
+    throw Error("faultnet: bad arg '" + value +
+                "' in fault plan: want a number in [0, " +
+                std::to_string(kMaxStallSeconds) + ")");
+  }
+  return v;
 }
 
 }  // namespace
@@ -170,10 +196,10 @@ Plan parse_plan(const std::string& text) {
       const std::string key = field.substr(0, eq);
       const std::string value = field.substr(eq + 1);
       if (key == "seed") {
-        plan.seed = parse_u64(value, key);
+        plan.seed = parse_number<uint64_t>(value, key);
         seed_only = true;
       } else if (key == "rank") {
-        rule.rank = static_cast<int>(parse_u64(value, key));
+        rule.rank = parse_number<int>(value, key);
       } else if (key == "op") {
         has_op = true;
         if (value == "connect") rule.op = Op::kConnect;
@@ -189,14 +215,14 @@ Plan parse_plan(const std::string& text) {
         else if (value == "apply") rule.phase = Phase::kApply;
         else throw Error("faultnet: unknown phase '" + value + "' in fault plan");
       } else if (key == "epoch") {
-        rule.epoch = static_cast<int>(parse_u64(value, key));
+        rule.epoch = parse_number<int>(value, key);
       } else if (key == "step") {
-        rule.step = static_cast<int64_t>(parse_u64(value, key));
+        rule.step = parse_number<int64_t>(value, key);
       } else if (key == "nth") {
-        rule.nth = parse_u64(value, key);
+        rule.nth = parse_number<uint64_t>(value, key);
         DKFAC_CHECK(rule.nth >= 1) << "faultnet: nth is 1-based";
       } else if (key == "times") {
-        rule.times = parse_u64(value, key);
+        rule.times = parse_number<uint64_t>(value, key);
         DKFAC_CHECK(rule.times >= 1) << "faultnet: times must be >= 1";
       } else if (key == "action") {
         has_action = true;
@@ -208,11 +234,7 @@ Plan parse_plan(const std::string& text) {
         else if (value == "abort") rule.action = Action::kAbort;
         else throw Error("faultnet: unknown action '" + value + "' in fault plan");
       } else if (key == "arg") {
-        try {
-          rule.stall_s = std::stod(value);
-        } catch (const std::exception&) {
-          throw Error("faultnet: bad arg '" + value + "' in fault plan");
-        }
+        rule.stall_s = parse_arg(value);
         rule.write_cap = static_cast<uint64_t>(
             std::strtoull(value.c_str(), nullptr, 10));
       } else {
@@ -224,6 +246,9 @@ Plan parse_plan(const std::string& text) {
     }
     DKFAC_CHECK(has_action)
         << "faultnet: fault plan rule '" << rule_text << "' has no action=";
+    // The firing window is [nth, nth + times): its end must not wrap.
+    DKFAC_CHECK(rule.times <= std::numeric_limits<uint64_t>::max() - rule.nth)
+        << "faultnet: nth + times overflows in rule '" << rule_text << "'";
     if (rule.phase != Phase::kNone) {
       DKFAC_CHECK(!has_op)
           << "faultnet: rule '" << rule_text << "' mixes op= and phase=";

@@ -41,11 +41,16 @@
 //     arg=X        action argument: stall seconds (float, default 0.05) or
 //                  short_write byte cap (default: half the frame)
 //
+// Numbers are plain decimal digits, no sign: seed, nth and times up to
+// 2^64−1 with nth + times ≤ 2^64−1, rank and epoch up to 2^31−1, step up
+// to 2^63−1; arg is a finite X with 0 ≤ X < 2^63 ns (about 292 years, what
+// sleep_for can convert). Anything else throws dkfac::Error.
+//
 // When no plan is installed every hook reduces to one relaxed atomic load
 // (`active()`), taken on the false branch — zero overhead and byte-
 // identical wire traffic, which the socket/thread parity tests pin down.
 // Every injection increments a `faultnet.injected.*` counter (surfaced in
-// the metrics registry) and emits a `faultnet.inject` trace instant.
+// the per-step metrics) and emits a `faultnet.inject` trace instant.
 #pragma once
 
 #include <atomic>

@@ -46,6 +46,13 @@ namespace {
 
 }  // namespace
 
+int exit_code(pid_t waited, int status) {
+  if (waited < 0) return 1;  // the child is unaccountably gone
+  if (WIFEXITED(status)) return WEXITSTATUS(status);
+  if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
+  return 0;
+}
+
 int run_ranks(int nranks, const std::function<int(Communicator&)>& fn,
               const LaunchOptions& options) {
   DKFAC_CHECK(nranks >= 1) << "run_ranks needs at least one rank";
@@ -103,15 +110,7 @@ int run_ranks(int nranks, const std::function<int(Communicator&)>& fn,
         continue;
       }
       progressed = true;
-      int code = 1;  // waitpid error: the child is unaccountably gone
-      if (r > 0) {
-        code = 0;
-        if (WIFEXITED(status)) {
-          code = WEXITSTATUS(status);
-        } else if (WIFSIGNALED(status)) {
-          code = 128 + WTERMSIG(status);
-        }
-      }
+      const int code = exit_code(r, status);
       if (code != 0 && first_failure == 0) first_failure = code;
       it = alive.erase(it);
     }

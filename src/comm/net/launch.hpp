@@ -28,6 +28,8 @@
 // with a fresh runtime.
 #pragma once
 
+#include <sys/types.h>
+
 #include <functional>
 
 #include "comm/net/socket_comm.hpp"
@@ -54,5 +56,10 @@ struct LaunchOptions {
 /// never assembles.
 int run_ranks(int nranks, const std::function<int(Communicator&)>& fn,
               const LaunchOptions& options = {});
+
+/// The exit code of a child reaped by waitpid(), which returned `waited`
+/// and filled `status`: the child's exit status, 128+signo if a signal
+/// killed it (the shell convention), or 1 if waitpid failed.
+int exit_code(pid_t waited, int status);
 
 }  // namespace dkfac::comm::net

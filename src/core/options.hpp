@@ -53,15 +53,6 @@ struct KfacOptions {
   InverseMethod inverse_method = InverseMethod::kEigenDecomposition;
   DistributionStrategy strategy = DistributionStrategy::kFactorWise;
 
-  /// π-corrected damping split for the explicit-inverse path (Martens &
-  /// Grosse; used by the paper's reference [6]): instead of adding γ to
-  /// each factor, add π·√γ to A and √γ/π to G with
-  /// π = sqrt( (tr(A)/dim_A) / (tr(G)/dim_G) ), which matches the norm of
-  /// the damped Kronecker product to γ·I much more closely. No effect on
-  /// the eigendecomposition path (which damps the product spectrum
-  /// directly and needs no split).
-  bool pi_damping = false;
-
   /// Communication-reduction extension (the paper's §VII future work):
   /// keep only the top ⌈fraction·n⌉ eigenpairs of each factor. Dropped
   /// directions are treated as zero-eigenvalue, which Eqs 13–15 absorb

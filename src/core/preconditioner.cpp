@@ -196,8 +196,7 @@ void KfacPreconditioner::update_factors() {
   // Carve this exchange's slot. Same shape every exchange → the arena
   // rewind hands back the same block, allocation-free once warm.
   arena_.reset();
-  exchange_slot_ = arena_.alloc(static_cast<size_t>(packed_elements), prec,
-                                comm::BufferLayout::kTrianglePacked);
+  exchange_slot_ = arena_.alloc(static_cast<size_t>(packed_elements), prec);
   const std::span<float> slot = exchange_slot_.span();
   size_t packed_offset = 0;
   size_t encoded_offset = 0;
@@ -213,8 +212,7 @@ void KfacPreconditioner::update_factors() {
       // In-place shrink: encoded offset ≤ packed offset, always.
       comm::Codec::encode(triangle, slot.subspan(encoded_offset, enc_count),
                           prec);
-      view = exchange_slot_.subview(encoded_offset, enc_count, prec,
-                                    comm::BufferLayout::kEncoded);
+      view = exchange_slot_.subview(encoded_offset, enc_count, prec);
     }
     // Submitting per factor pipelines each view's reduction behind the
     // packing/encoding of the next one.
@@ -335,29 +333,11 @@ void KfacPreconditioner::decompose_factor(FactorState& state) const {
     }
   } else {
     Tensor damped = state.cov;
-    float gamma = options_.damping;
-    if (options_.pi_damping) {
-      // π-split: this factor's share of √γ is proportional to its average
-      // eigenvalue (trace/dim). `pi_partner_trace_mean` holds the other
-      // factor's trace/dim, stashed by update_decompositions().
-      const float own = factor_trace_mean(state.cov);
-      const float partner = state.pi_partner_trace_mean;
-      DKFAC_CHECK(partner > 0.0f) << "π-damping requires partner trace";
-      const float pi = std::sqrt(std::max(own, 1e-12f) / partner);
-      gamma = std::sqrt(options_.damping) * pi;
-    }
-    linalg::add_diagonal(damped, gamma);
+    linalg::add_diagonal(damped, options_.damping);
     state.q = linalg::spd_inverse(damped);
     state.lam = Tensor(Shape{0});
   }
   state.have_decomp = true;
-}
-
-float KfacPreconditioner::factor_trace_mean(const Tensor& cov) {
-  const int64_t n = cov.dim(0);
-  double trace = 0.0;
-  for (int64_t i = 0; i < n; ++i) trace += cov.at(i, i);
-  return std::max(static_cast<float>(trace / std::max<int64_t>(n, 1)), 1e-12f);
 }
 
 int64_t KfacPreconditioner::kept_rank(int64_t dim) const {
@@ -390,15 +370,6 @@ int64_t KfacPreconditioner::shipped_decomp_payload(int64_t dim) const {
 
 void KfacPreconditioner::update_decompositions() {
   const int rank = comm_.rank();
-  if (options_.pi_damping &&
-      options_.inverse_method == InverseMethod::kExplicitInverse) {
-    // Every rank has both covariances (they are allreduced), so the π
-    // split is computable wherever the factor is decomposed.
-    for (LayerState& state : layers_) {
-      state.a.pi_partner_trace_mean = factor_trace_mean(state.g.cov);
-      state.g.pi_partner_trace_mean = factor_trace_mean(state.a.cov);
-    }
-  }
   // Hand every owned factor to the batched scheduler: large factors keep
   // the machine to themselves (intra-matrix kernels), small ones run
   // concurrently across the team. Results are identical to the plain

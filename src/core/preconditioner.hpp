@@ -152,8 +152,6 @@ class KfacPreconditioner {
     Tensor lam;   // eigenvalues (eigen path only)
     bool have_cov = false;
     bool have_decomp = false;
-    /// Partner factor's trace/dim, for the π-damping split.
-    float pi_partner_trace_mean = 0.0f;
   };
 
   struct LayerState {
@@ -174,8 +172,6 @@ class KfacPreconditioner {
   void finish_factor_comm();
   void update_decompositions();
   void decompose_factor(FactorState& state) const;
-  /// trace(cov)/dim, floored away from zero (π-damping input).
-  static float factor_trace_mean(const Tensor& cov);
   /// Eigenpairs kept for a factor of size `dim` (rank truncation).
   int64_t kept_rank(int64_t dim) const;
   /// Floats needed to publish one factor's decomposition (dense layout).

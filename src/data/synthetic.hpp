@@ -43,9 +43,9 @@ struct SyntheticSpec {
 /// CIFAR-10-like: 3×32×32, 10 classes.
 SyntheticSpec cifar10_like();
 
-/// ImageNet-like stand-in at laptop scale: 3×32×32, 100 classes, larger
-/// train split. The paper's ImageNet-1k experiments run on this dataset
-/// (documented substitution — convergence *shape*, not absolute accuracy).
+/// ImageNet-like preset: 3×32×32, 100 classes, a larger train split than
+/// cifar10_like(). No bench trains on it: fig5_imagenet_convergence uses
+/// the smaller bench::bench_imagenet_spec() (3×16×16, 20 classes).
 SyntheticSpec imagenet_like();
 
 class SyntheticImageDataset {

@@ -109,17 +109,21 @@ void save_checkpoint(Layer& model, const std::string& path) {
     out.flush();
     DKFAC_CHECK(out.good()) << "checkpoint write failed: " << tmp;
   }
+  commit_file(tmp, path);
+}
+
+void commit_file(const std::string& tmp, const std::string& path) {
   const int fd = ::open(tmp.c_str(), O_WRONLY);
   DKFAC_CHECK(fd >= 0) << "cannot reopen " << tmp << " for fsync";
   const int synced = ::fsync(fd);
   ::close(fd);
   if (synced != 0) {
     std::remove(tmp.c_str());
-    throw Error("checkpoint fsync failed: " + tmp);
+    throw Error("fsync failed: " + tmp);
   }
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
-    throw Error("checkpoint rename failed: " + tmp + " -> " + path);
+    throw Error("rename failed: " + tmp + " -> " + path);
   }
   // Durability of the rename itself: sync the containing directory
   // (best-effort — some filesystems refuse directory fsync).
@@ -163,16 +167,17 @@ void load_checkpoint(Layer& model, std::istream& in) {
     for (uint64_t d = 0; d < ndim; ++d) {
       dims[d] = static_cast<int64_t>(r.u64());
     }
+    // The dims are untrusted: match them against the model before any
+    // arithmetic on them, and size the read from the model's tensor.
     const Shape shape{std::move(dims)};
-    const int64_t numel = shape.numel();
-
     const auto it = targets.find(name);
     DKFAC_CHECK(it != targets.end())
         << "checkpoint tensor '" << name << "' not present in the model";
-    DKFAC_CHECK(it->second->shape() == shape)
+    Tensor& target = *it->second;
+    DKFAC_CHECK(target.shape() == shape)
         << "shape mismatch for '" << name << "': checkpoint " << shape
-        << " vs model " << it->second->shape();
-    r.read(it->second->data(), static_cast<size_t>(numel) * sizeof(float));
+        << " vs model " << target.shape();
+    r.read(target.data(), static_cast<size_t>(target.numel()) * sizeof(float));
     ++restored;
   }
   DKFAC_CHECK(restored == targets.size())

@@ -29,6 +29,13 @@ namespace dkfac::nn {
 void save_checkpoint(Layer& model, std::ostream& out);
 void save_checkpoint(Layer& model, const std::string& path);
 
+/// The durable tail of an atomic file write, shared by every file a
+/// crashed rank must never see torn: fsyncs the fully written `tmp`,
+/// renames it over `path`, then fsyncs the containing directory (best
+/// effort). Removes `tmp` and throws dkfac::Error if the fsync or rename
+/// fails.
+void commit_file(const std::string& tmp, const std::string& path);
+
 /// Restores a checkpoint saved by save_checkpoint. Throws dkfac::Error on
 /// magic/version mismatch, missing entries, or shape mismatches.
 void load_checkpoint(Layer& model, std::istream& in);

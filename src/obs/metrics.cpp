@@ -1,5 +1,9 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+
 #include "common/error.hpp"
 #include "common/logging.hpp"
 
@@ -98,20 +102,19 @@ StepMetricsLogger::StepMetricsLogger(const std::string& path) {
   }
   Tracer& tracer = Tracer::instance();
   for (const MetricSpec& spec : kSchema) {
-    Bound m{&spec};
-    const std::string name(spec.name);
-    if (spec.kind == MetricKind::kCounter) {
-      m.counter = &registry_.add_counter(name);
-    } else {
-      m.gauge = &registry_.add_gauge(name);
-    }
+    Metric m{&spec};
     if (spec.source.starts_with(kSpanSource)) {
-      DKFAC_CHECK(m.gauge != nullptr) << "span metric must be a gauge: " << name;
+      DKFAC_CHECK(spec.kind == MetricKind::kGauge)
+          << "span metric must be a gauge: " << spec.name;
       m.span = tracer.intern(spec.source.substr(kSpanSource.size()));
       m.last_ticks = tracer.thread_totals(m.span).ticks;
     }
     metrics_.push_back(m);
   }
+  std::sort(metrics_.begin(), metrics_.end(),
+            [](const Metric& a, const Metric& b) {
+              return a.spec->name < b.spec->name;
+            });
 }
 
 void StepMetricsLogger::record(const StepSample& sample,
@@ -124,25 +127,37 @@ void StepMetricsLogger::record(const StepSample& sample,
   const StepInputs in{sample, comm, report != nullptr ? *report : no_kfac,
                       arena, faults};
   const Tracer& tracer = Tracer::instance();
-  for (Bound& m : metrics_) {
+  for (Metric& m : metrics_) {
     if (m.span != 0) {
       const Ticks now = tracer.thread_totals(m.span).ticks;
-      m.gauge->set(static_cast<double>(now - m.last_ticks) * kSecondsPerTick);
+      m.gauge = static_cast<double>(now - m.last_ticks) * kSecondsPerTick;
       m.last_ticks = now;
-    } else if (m.counter != nullptr) {
+    } else if (m.spec->kind == MetricKind::kCounter) {
       const auto value = static_cast<uint64_t>(m.spec->read(in));
-      if (m.spec->per_step) {
-        m.counter->add(value);
-      } else {
-        m.counter->set(value);
-      }
+      m.count = m.spec->per_step ? m.count + value : value;
     } else {
-      m.gauge->set(m.spec->read(in));
+      m.gauge = m.spec->read(in);
     }
   }
 
   if (out_.is_open()) {
-    registry_.write_jsonl(out_, sample.step);
+    out_ << "{\"step\":" << sample.step;
+    char buf[48];
+    for (const Metric& m : metrics_) {
+      out_ << ",\"" << m.spec->name << "\":";
+      if (m.spec->kind == MetricKind::kCounter) {
+        out_ << m.count;
+      } else if (!std::isfinite(m.gauge)) {
+        out_ << "null";
+      } else {
+        // %.17g round-trips doubles but litters the file with noise
+        // digits; %.9g keeps float32-sourced values exact and seconds at
+        // nanosecond granularity, which is all the gauges carry.
+        std::snprintf(buf, sizeof(buf), "%.9g", m.gauge);
+        out_ << buf;
+      }
+    }
+    out_ << "}\n";
     out_.flush();  // keep the file tailable while training runs
     // A full disk (or yanked volume) must not silently truncate the JSONL:
     // metrics are observability, so degrade to one logged warning instead
@@ -153,6 +168,18 @@ void StepMetricsLogger::record(const StepSample& sample,
                         "further step records will be dropped";
     }
   }
+}
+
+double StepMetricsLogger::value(std::string_view name) const {
+  const auto it = std::lower_bound(
+      metrics_.begin(), metrics_.end(), name,
+      [](const Metric& m, std::string_view key) { return m.spec->name < key; });
+  if (it == metrics_.end() || it->spec->name != name) {
+    throw Error("obs: unknown metric: " + std::string(name));
+  }
+  return it->spec->kind == MetricKind::kCounter
+             ? static_cast<double>(it->count)
+             : it->gauge;
 }
 
 }  // namespace dkfac::obs

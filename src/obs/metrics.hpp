@@ -1,14 +1,15 @@
 // The per-step metrics schema and its JSONL logger. One declared table
 // (metric_schema()) names every metric with its kind, unit and source;
-// StepMetricsLogger registers it into an obs::Registry and streams one
-// JSONL record per training step. Every duration comes from a span: phase
-// times are per-step deltas of the recording thread's span aggregates —
-// rank 0's main thread, so one rank's figures on either backend — and the
+// StepMetricsLogger keeps one value per row and streams one JSONL record
+// per training step. Every duration comes from a span: phase times are
+// per-step deltas of the recording thread's span aggregates — rank 0's
+// main thread, so one rank's figures on either backend — and the
 // comm.async.* / comm.overlap.* times from the executor's span-timed
 // AsyncCommStats. The README metrics table mirrors the schema row for row
-// (tests/obs/registry_test.cpp checks it).
+// (tests/obs/metrics_test.cpp checks it).
 #pragma once
 
+#include <cstdint>
 #include <fstream>
 #include <span>
 #include <string>
@@ -19,7 +20,6 @@
 #include "comm/communicator.hpp"
 #include "comm/net/faultnet.hpp"
 #include "core/preconditioner.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace dkfac::obs {
@@ -74,7 +74,7 @@ struct MetricSpec {
 /// The schema, in declaration order (the JSONL sorts keys by name).
 std::span<const MetricSpec> metric_schema();
 
-/// Owns a Registry holding the schema plus the output stream for
+/// Holds the current value of every schema row plus the output stream for
 /// `train_cli --metrics <path>`. Construct it, and call record(), on the
 /// thread that runs the training step: span sources read that thread's
 /// aggregates.
@@ -82,30 +82,34 @@ class StepMetricsLogger {
  public:
   /// Opens `path` for truncating write; throws dkfac::Error on failure.
   /// An empty path constructs a disabled logger (record() still updates
-  /// the registry — tests read it — but writes nothing).
+  /// the values — tests read them — but writes nothing).
   explicit StepMetricsLogger(const std::string& path);
 
-  /// Updates every metric and appends one JSONL line. `report` may be
-  /// null (K-FAC off); `arena` is the summed comm-path arena stats.
+  /// Updates every metric and appends one JSONL line: `step` first, then
+  /// every metric in byte order of its name, counters as integers, gauges
+  /// as %.9g and non-finite gauges as null (JSON has no NaN). `report` may
+  /// be null (K-FAC off); `arena` is the summed comm-path arena stats.
   void record(const StepSample& sample, const comm::CommStats& comm,
               const kfac::KfacPreconditioner::StepReport* report,
               const comm::ArenaStats& arena);
 
-  Registry& registry() { return registry_; }
+  /// The value metric `name` took at the last record() (0 before any).
+  /// Throws dkfac::Error if `name` is not in the schema.
+  double value(std::string_view name) const;
   bool writing() const { return out_.is_open(); }
 
  private:
-  /// A schema row bound to its registry handle.
-  struct Bound {
+  /// A schema row and its current value.
+  struct Metric {
     const MetricSpec* spec;
-    Registry::Counter* counter = nullptr;  ///< set for counters
-    Registry::Gauge* gauge = nullptr;      ///< set for gauges
+    uint64_t count = 0;  ///< counters
+    double gauge = 0.0;  ///< gauges
     uint32_t span = 0;  ///< interned span id for span sources, else 0
     Ticks last_ticks = 0;  ///< span total at the previous record
   };
 
-  Registry registry_;
-  std::vector<Bound> metrics_;
+  /// Sorted by name, the JSONL key order.
+  std::vector<Metric> metrics_;
   std::ofstream out_;
   /// A failed JSONL write has been reported (warn once, not per step —
   /// metrics are observability, so a full disk degrades to a warning

@@ -55,34 +55,4 @@ class LrSchedule {
   Options options_;
 };
 
-/// The paper's K-FAC update-frequency decay (§V-C): the interval between
-/// K-FAC eigendecomposition refreshes, reduced at fixed epochs.
-class UpdateFreqSchedule {
- public:
-  struct Options {
-    int base_interval = 10;  // iterations between K-FAC updates
-    std::vector<float> decay_epochs;
-    float decay_factor = 0.5f;  // interval multiplied by this at each epoch
-    int min_interval = 1;
-  };
-
-  explicit UpdateFreqSchedule(Options options) : options_(std::move(options)) {
-    DKFAC_CHECK(options_.base_interval >= 1);
-    DKFAC_CHECK(options_.min_interval >= 1);
-    DKFAC_CHECK(options_.decay_factor > 0.0f);
-  }
-
-  int interval_at(float epoch) const {
-    float interval = static_cast<float>(options_.base_interval);
-    for (float de : options_.decay_epochs) {
-      if (epoch >= de) interval *= options_.decay_factor;
-    }
-    const int rounded = static_cast<int>(interval + 0.5f);
-    return rounded < options_.min_interval ? options_.min_interval : rounded;
-  }
-
- private:
-  Options options_;
-};
-
 }  // namespace dkfac::optim

@@ -1,6 +1,5 @@
 #include "train/elastic.hpp"
 
-#include <fcntl.h>
 #include <omp.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -17,6 +16,7 @@
 #include <sstream>
 #include <vector>
 
+#include "comm/net/launch.hpp"
 #include "comm/net/rendezvous.hpp"
 #include "comm/net/socket_comm.hpp"
 #include "comm/net/wire.hpp"
@@ -50,31 +50,6 @@ constexpr int kMaxRegrows = 64;
 volatile std::sig_atomic_t g_regrow_requested = 0;
 
 void on_sigusr1(int) { g_regrow_requested = 1; }
-
-/// fsync(tmp) + rename(tmp, path) + best-effort directory fsync — the same
-/// durability discipline as nn::save_checkpoint(path).
-void commit_atomically(const std::string& tmp, const std::string& path) {
-  const int fd = ::open(tmp.c_str(), O_WRONLY);
-  DKFAC_CHECK(fd >= 0) << "cannot reopen " << tmp << " for fsync";
-  const int synced = ::fsync(fd);
-  ::close(fd);
-  if (synced != 0) {
-    std::remove(tmp.c_str());
-    throw Error("elastic checkpoint fsync failed: " + tmp);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw Error("elastic checkpoint rename failed: " + tmp + " -> " + path);
-  }
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dirfd >= 0) {
-    ::fsync(dirfd);
-    ::close(dirfd);
-  }
-}
 
 /// Slurps `path`; empty optional when it cannot be opened.
 std::optional<std::string> slurp_file(const std::string& path) {
@@ -135,7 +110,7 @@ void publish_result(const std::string& result_path, const TrainResult& result,
     out.flush();
     DKFAC_CHECK(out.good()) << "elastic result write failed: " << tmp;
   }
-  commit_atomically(tmp, result_path);
+  nn::commit_file(tmp, result_path);
 }
 
 /// The child's lifetime: (re-)rendezvous, (re-)train, until the job
@@ -344,7 +319,7 @@ void save_elastic_checkpoint(nn::Layer& model, int epoch,
   const std::string prev = path + ".prev";
   (void)::unlink(prev.c_str());
   (void)::link(path.c_str(), prev.c_str());  // no-op (ENOENT) on first save
-  commit_atomically(tmp, path);
+  nn::commit_file(tmp, path);
 }
 
 std::optional<ResolvedCheckpoint> resolve_elastic_checkpoint(
@@ -493,15 +468,7 @@ ElasticResult run_elastic(const ModelFactory& factory,
       int status = 0;
       const pid_t r = ::waitpid(slot.pid, &status, WNOHANG);
       if (r == 0) continue;
-      int code = 1;  // waitpid error: the child is unaccountably gone
-      if (r > 0) {
-        code = 0;
-        if (WIFEXITED(status)) {
-          code = WEXITSTATUS(status);
-        } else if (WIFSIGNALED(status)) {
-          code = 128 + WTERMSIG(status);
-        }
-      }
+      const int code = comm::net::exit_code(r, status);
       slot.pid = -1;
       if (code == 0) {
         // One clean exit means the job published (or is about to publish)

@@ -72,8 +72,8 @@ struct TrainConfig {
   uint64_t data_seed = 7;
   int64_t eval_batch = 256;
 
-  /// Per-step metrics as JSONL (one obs::Registry record per step) to this
-  /// path; empty = off. Observability only — enabling it never changes
+  /// Per-step metrics as JSONL (one obs::StepMetricsLogger record per
+  /// step) to this path; empty = off. Observability only — enabling it never changes
   /// training results (stats are snapshotted at the existing gradient
   /// synchronisation point, so no extra barriers or collectives appear).
   std::string metrics_path;

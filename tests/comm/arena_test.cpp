@@ -268,8 +268,7 @@ std::vector<Tensor> arena_pipeline(const std::vector<Tensor>& factors,
     packed_total += SymmetricPacker::packed_size(f.dim(0));
   }
   Arena arena;
-  const BufferView slot = arena.alloc(static_cast<size_t>(packed_total), prec,
-                                      BufferLayout::kTrianglePacked);
+  const BufferView slot = arena.alloc(static_cast<size_t>(packed_total), prec);
   const std::span<float> mem = slot.span();
   FusionBuffer fusion(comm, 1 << 20);
   int64_t p = 0;
@@ -283,7 +282,7 @@ std::vector<Tensor> arena_pipeline(const std::vector<Tensor>& factors,
                   mem.subspan(static_cast<size_t>(e), static_cast<size_t>(ec)),
                   prec);
     fusion.add(slot.subview(static_cast<size_t>(e), static_cast<size_t>(ec),
-                            prec, BufferLayout::kEncoded));
+                            prec));
     p += c;
     e += ec;
   }

@@ -89,6 +89,16 @@ TEST_F(FaultnetPlan, MalformedPlansThrowTyped) {
       "phase=forward,op=send,action=stall",  // op and phase are exclusive
       "phase=forward,action=bitflip",     // phase rules: stall/abort only
       "flavor=spicy,action=reset",        // unknown key
+      "rank=4294967297,action=reset",     // beyond int: would target rank 1
+      "rank=-2,action=reset",             // a sign: would mean any rank
+      "epoch=-1,op=send,action=reset",    // a sign: would mean any epoch
+      "rank=+1,action=reset",             // a sign
+      "step=9223372036854775808,op=send,action=reset",  // beyond int64
+      "nth=18446744073709551615,times=2,op=send,action=reset",  // window wraps
+      "op=send,action=stall,arg=nan",     // non-finite stall
+      "op=send,action=stall,arg=inf",     // non-finite stall
+      "op=send,action=stall,arg=1e300",   // too long for sleep_for
+      "op=send,action=stall,arg=-0.5",    // negative stall
   };
   for (const char* text : bad) {
     EXPECT_THROW((void)faultnet::parse_plan(text), Error) << text;

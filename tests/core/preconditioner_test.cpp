@@ -471,62 +471,6 @@ TEST(Kfac, TruncatedRankTrainsDistributed) {
   });
 }
 
-TEST(Kfac, PiDampingSolvesSplitDampedSystem) {
-  // With the π split, the explicit-inverse path solves
-  // (G + √γ/π·I)·P·(A + π√γ·I) = ∇ where π = sqrt(mean-eig(A)/mean-eig(G)).
-  Rng rng(130);
-  nn::Sequential model("m");
-  model.emplace<nn::Linear>(5, 4, false, rng, "fc");
-  auto* fc = dynamic_cast<nn::Linear*>(model.children()[0]);
-  run_batch(model, 16, 5, 4, 131);
-  Tensor grad = fc->kfac_grad();
-  Tensor a = fc->kfac_a_factor();
-  Tensor g = fc->kfac_g_factor();
-
-  comm::SelfComm comm;
-  KfacOptions opts = base_options();
-  opts.inverse_method = InverseMethod::kExplicitInverse;
-  opts.pi_damping = true;
-  KfacPreconditioner kfac(model, comm, opts);
-  kfac.step();
-  Tensor p = fc->kfac_grad();
-
-  auto trace_mean = [](const Tensor& m) {
-    double t = 0.0;
-    for (int64_t i = 0; i < m.dim(0); ++i) t += m.at(i, i);
-    return static_cast<float>(t / m.dim(0));
-  };
-  const float pi = std::sqrt(trace_mean(a) / trace_mean(g));
-  Tensor a_damped = a;
-  Tensor g_damped = g;
-  linalg::add_diagonal(a_damped, std::sqrt(opts.damping) * pi);
-  linalg::add_diagonal(g_damped, std::sqrt(opts.damping) / pi);
-  Tensor reconstructed = matmul(matmul(g_damped, p), a_damped);
-  EXPECT_LT(linalg::frobenius_distance(reconstructed, grad),
-            3e-2f * grad.norm() + 1e-4f);
-}
-
-TEST(Kfac, PiDampingWorksDistributed) {
-  comm::LocalGroup group(2);
-  group.run([&](int, comm::Communicator& comm) {
-    Rng rng(132);
-    nn::LayerPtr model = nn::mlp(4, 6, 3, rng);
-    KfacOptions opts = base_options();
-    opts.inverse_method = InverseMethod::kExplicitInverse;
-    opts.pi_damping = true;
-    KfacPreconditioner kfac(*model, comm, opts);
-    run_batch(*model, 8, 4, 3, 133);
-    for (nn::Parameter* p : model->parameters()) {
-      comm.allreduce(p->grad, comm::ReduceOp::kAverage);
-    }
-    kfac.step();
-    for (nn::KfacCapturable* l : model->kfac_layers()) {
-      Tensor g = l->kfac_grad();
-      for (int64_t i = 0; i < g.numel(); ++i) ASSERT_TRUE(std::isfinite(g[i]));
-    }
-  });
-}
-
 TEST(Kfac, InvalidOptionsRejectedAtConstruction) {
   // The constructor validates before building anything from the options,
   // so a bad option set surfaces as the options error itself.

@@ -1,18 +1,19 @@
-// obs::Registry + StepMetricsLogger contracts: registration returns
-// stable handles and rejects duplicate names, lookups type-check,
-// write_jsonl emits one parseable sorted object per step (non-finite
-// gauges as null), the logger maps every stats field to its dotted name,
-// splits overlap from the executor's timers, reads phase times as
-// per-step deltas of this thread's span aggregates, and the README
-// metrics table matches the declared schema.
-#include "obs/registry.hpp"
+// StepMetricsLogger contracts: the schema's names are unique, the logger
+// maps every stats field to its dotted name, writes one parseable record
+// per step (`step` first, keys in byte order, counters as integers,
+// non-finite gauges as null), splits overlap from the executor's timers,
+// reads phase times as per-step deltas of this thread's span aggregates,
+// and the README metrics table matches the declared schema.
+#include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,7 +22,6 @@
 
 #include "common/error.hpp"
 #include "json_util.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dkfac::obs {
@@ -30,61 +30,13 @@ namespace {
 using testing::JsonValue;
 using testing::parse_json;
 
-TEST(Registry, CountersAndGaugesHoldValues) {
-  Registry registry;
-  Registry::Counter& c = registry.add_counter("a.calls");
-  Registry::Gauge& g = registry.add_gauge("a.seconds");
-  c.add(3);
-  c.add(4);
-  g.set(1.5);
-  EXPECT_EQ(c.value(), 7u);
-  EXPECT_EQ(g.value(), 1.5);
-  c.set(100);
-  EXPECT_EQ(registry.counter("a.calls").value(), 100u);
-  EXPECT_EQ(registry.gauge("a.seconds").value(), 1.5);
-  EXPECT_TRUE(registry.contains("a.calls"));
-  EXPECT_FALSE(registry.contains("a.missing"));
-  EXPECT_EQ(registry.size(), 2u);
+TEST(StepMetricsLogger, SchemaNamesAreUnique) {
+  std::set<std::string_view> names;
+  for (const MetricSpec& spec : metric_schema()) {
+    EXPECT_TRUE(names.insert(spec.name).second)
+        << spec.name << " is declared twice";
+  }
 }
-
-TEST(Registry, DuplicateNamesThrowAcrossKinds) {
-  Registry registry;
-  registry.add_counter("dup.metric");
-  EXPECT_THROW(registry.add_counter("dup.metric"), Error);
-  EXPECT_THROW(registry.add_gauge("dup.metric"), Error);
-}
-
-TEST(Registry, LookupsTypeCheckAndRejectUnknown) {
-  Registry registry;
-  registry.add_counter("k.counter");
-  registry.add_gauge("k.gauge");
-  EXPECT_THROW(registry.counter("k.gauge"), Error);
-  EXPECT_THROW(registry.gauge("k.counter"), Error);
-  EXPECT_THROW(registry.counter("k.unknown"), Error);
-}
-
-TEST(Registry, JsonlLineParsesWithSortedKeysAndNullNonFinite) {
-  Registry registry;
-  registry.add_counter("z.last").set(9);
-  registry.add_gauge("a.first").set(0.125);
-  registry.add_gauge("m.nan").set(std::numeric_limits<double>::quiet_NaN());
-  std::ostringstream out;
-  registry.write_jsonl(out, 42);
-  const std::string line = out.str();
-  ASSERT_FALSE(line.empty());
-  EXPECT_EQ(line.back(), '\n');
-
-  const JsonValue root = parse_json(line);
-  EXPECT_EQ(root.at("step").number(), 42.0);
-  EXPECT_EQ(root.at("a.first").number(), 0.125);
-  EXPECT_EQ(root.at("z.last").number(), 9.0);
-  EXPECT_TRUE(root.at("m.nan").is_null());
-  // Sorted emission: "a.first" appears before "m.nan" before "z.last".
-  EXPECT_LT(line.find("a.first"), line.find("m.nan"));
-  EXPECT_LT(line.find("m.nan"), line.find("z.last"));
-}
-
-// ---- StepMetricsLogger -----------------------------------------------------
 
 TEST(StepMetricsLogger, MapsLegacyStatsToDottedNamesAndWritesJsonl) {
   const std::string path = ::testing::TempDir() + "dkfac_metrics_test.jsonl";
@@ -121,20 +73,20 @@ TEST(StepMetricsLogger, MapsLegacyStatsToDottedNamesAndWritesJsonl) {
   sample.loss = 2.0;
   logger.record(sample, stats, &report, arena);
 
-  // Registry reflects the legacy structs under the documented names.
-  Registry& reg = logger.registry();
-  EXPECT_EQ(reg.counter("comm.allreduce.calls").value(), 3u);
-  EXPECT_EQ(reg.counter("comm.allreduce.bytes").value(), 1024u);
-  EXPECT_EQ(reg.counter("comm.wire.sent_bytes").value(), 555u);
+  // The logger reflects the legacy structs under the documented names.
+  EXPECT_EQ(logger.value("comm.allreduce.calls"), 3.0);
+  EXPECT_EQ(logger.value("comm.allreduce.bytes"), 1024.0);
+  EXPECT_EQ(logger.value("comm.wire.sent_bytes"), 555.0);
   // factor/decomp update counters tick once per step that updated, not by
   // the per-step factor count.
-  EXPECT_EQ(reg.counter("kfac.factor_updates").value(), 2u);
-  EXPECT_EQ(reg.counter("kfac.decomp_updates").value(), 2u);
-  EXPECT_EQ(reg.counter("arena.bytes_reserved").value(), 8192u);
-  EXPECT_EQ(reg.gauge("train.loss").value(), 2.0);
-  EXPECT_EQ(reg.gauge("comm.async.comm_seconds").value(), 0.2);
-  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.hidden_seconds").value(), 0.15);
-  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.exposed_seconds").value(), 0.05);
+  EXPECT_EQ(logger.value("kfac.factor_updates"), 2.0);
+  EXPECT_EQ(logger.value("kfac.decomp_updates"), 2.0);
+  EXPECT_EQ(logger.value("arena.bytes_reserved"), 8192.0);
+  EXPECT_EQ(logger.value("train.loss"), 2.0);
+  EXPECT_EQ(logger.value("comm.async.comm_seconds"), 0.2);
+  EXPECT_DOUBLE_EQ(logger.value("comm.overlap.hidden_seconds"), 0.15);
+  EXPECT_DOUBLE_EQ(logger.value("comm.overlap.exposed_seconds"), 0.05);
+  EXPECT_THROW((void)logger.value("comm.no_such_metric"), Error);
 
   // The file holds one parseable object per record() call.
   std::ifstream in(path);
@@ -151,23 +103,70 @@ TEST(StepMetricsLogger, MapsLegacyStatsToDottedNamesAndWritesJsonl) {
   EXPECT_EQ(lines, 2);
 }
 
+TEST(StepMetricsLogger, JsonlLineHasStepFirstSortedKeysAndExactValueForms) {
+  const std::string path = ::testing::TempDir() + "dkfac_metrics_form.jsonl";
+  {
+    StepMetricsLogger logger(path);
+    StepSample sample;
+    sample.step = 42;
+    sample.loss = std::numeric_limits<double>::quiet_NaN();
+    sample.accuracy = std::numeric_limits<double>::infinity();
+    sample.lr = 1.0 / 3.0;
+    comm::CommStats stats;
+    stats.allreduce_bytes = (uint64_t{1} << 40) + 1;
+    logger.record(sample, stats, nullptr, comm::ArenaStats{});
+  }
+  std::ifstream in(path);
+  std::stringstream content;
+  content << in.rdbuf();
+  const std::string file = content.str();
+  ASSERT_FALSE(file.empty());
+  EXPECT_EQ(file.back(), '\n');
+  const std::string line = file.substr(0, file.size() - 1);
+  EXPECT_EQ(line.find('\n'), std::string::npos) << "one record, one line";
+
+  // The keys are the quoted strings: every value is a number or null.
+  std::vector<std::string> keys;
+  for (size_t open = line.find('"'); open != std::string::npos;) {
+    const size_t close = line.find('"', open + 1);
+    ASSERT_NE(close, std::string::npos) << line;
+    keys.push_back(line.substr(open + 1, close - open - 1));
+    open = line.find('"', close + 1);
+  }
+  ASSERT_EQ(keys.size(), metric_schema().size() + 1);
+  EXPECT_EQ(keys.front(), "step");
+  EXPECT_TRUE(std::is_sorted(keys.begin() + 1, keys.end()));
+
+  EXPECT_EQ(line.rfind("{\"step\":42,", 0), 0u) << line;
+  // Counters print as integers, gauges as %.9g, non-finite gauges as null.
+  EXPECT_NE(line.find("\"comm.allreduce.bytes\":1099511627777,"),
+            std::string::npos) << line;
+  EXPECT_NE(line.find("\"train.lr\":0.333333333,"), std::string::npos)
+      << line;
+  EXPECT_NE(line.find("\"train.loss\":null,"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"train.accuracy\":null,"), std::string::npos) << line;
+
+  const JsonValue root = parse_json(line);
+  EXPECT_EQ(root.at("step").number(), 42.0);
+  EXPECT_TRUE(root.at("train.loss").is_null());
+}
+
 TEST(StepMetricsLogger, SplitsOverlapFromExecutorTimers) {
   StepMetricsLogger logger("");
-  Registry& reg = logger.registry();
   comm::CommStats stats;
   stats.async.comm_seconds = 2.0;
   stats.async.wait_seconds = 0.5;
   logger.record(StepSample{}, stats, nullptr, comm::ArenaStats{});
-  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.hidden_seconds").value(),
+  EXPECT_DOUBLE_EQ(logger.value("comm.overlap.hidden_seconds"),
                    stats.async.overlap_won_seconds());
-  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.hidden_seconds").value(), 1.5);
-  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.exposed_seconds").value(), 0.5);
+  EXPECT_DOUBLE_EQ(logger.value("comm.overlap.hidden_seconds"), 1.5);
+  EXPECT_DOUBLE_EQ(logger.value("comm.overlap.exposed_seconds"), 0.5);
 
   // Fully exposed: waited longer than the collectives ran.
   stats.async.wait_seconds = 3.0;
   logger.record(StepSample{}, stats, nullptr, comm::ArenaStats{});
-  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.hidden_seconds").value(), 0.0);
-  EXPECT_DOUBLE_EQ(reg.gauge("comm.overlap.exposed_seconds").value(), 2.0);
+  EXPECT_DOUBLE_EQ(logger.value("comm.overlap.hidden_seconds"), 0.0);
+  EXPECT_DOUBLE_EQ(logger.value("comm.overlap.exposed_seconds"), 2.0);
 }
 
 TEST(StepMetricsLogger, PhaseGaugesAreThisThreadsSpanTimePerStep) {
@@ -177,7 +176,6 @@ TEST(StepMetricsLogger, PhaseGaugesAreThisThreadsSpanTimePerStep) {
     DKFAC_TRACE_SCOPE("train.forward");  // before the logger: not counted
   }
   StepMetricsLogger logger("");
-  Registry::Gauge& forward = logger.registry().gauge("train.forward_seconds");
   const uint32_t id = tracer.find_name("train.forward");
   const Tracer::SpanTotals start = tracer.thread_totals(id);
   {
@@ -188,13 +186,13 @@ TEST(StepMetricsLogger, PhaseGaugesAreThisThreadsSpanTimePerStep) {
   logger.record(StepSample{}, comm::CommStats{}, nullptr, comm::ArenaStats{});
   const Tracer::SpanTotals now = tracer.thread_totals(id);
   EXPECT_EQ(now.count, start.count + 1);
-  EXPECT_EQ(forward.value(),
+  EXPECT_EQ(logger.value("train.forward_seconds"),
             static_cast<double>(now.ticks - start.ticks) * kSecondsPerTick);
-  EXPECT_GT(forward.value(), 0.0);
+  EXPECT_GT(logger.value("train.forward_seconds"), 0.0);
 
   // A step without the span reads zero.
   logger.record(StepSample{}, comm::CommStats{}, nullptr, comm::ArenaStats{});
-  EXPECT_EQ(forward.value(), 0.0);
+  EXPECT_EQ(logger.value("train.forward_seconds"), 0.0);
 }
 
 // The README's metrics table, between its marker comments: a header row,
@@ -259,7 +257,7 @@ TEST(StepMetricsLogger, EmptyPathDisablesWritingButKeepsRegistry) {
   StepSample sample;
   sample.loss = 1.0;
   logger.record(sample, comm::CommStats{}, nullptr, comm::ArenaStats{});
-  EXPECT_EQ(logger.registry().gauge("train.loss").value(), 1.0);
+  EXPECT_EQ(logger.value("train.loss"), 1.0);
 }
 
 TEST(StepMetricsLogger, UnwritablePathThrows) {

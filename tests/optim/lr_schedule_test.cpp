@@ -49,29 +49,5 @@ TEST(LrSchedule, InvalidOptionsThrow) {
   EXPECT_THROW(ok.lr_at(-1.0f), Error);
 }
 
-TEST(UpdateFreqSchedule, ConstantByDefault) {
-  UpdateFreqSchedule s({.base_interval = 500});
-  EXPECT_EQ(s.interval_at(0.0f), 500);
-  EXPECT_EQ(s.interval_at(54.0f), 500);
-}
-
-TEST(UpdateFreqSchedule, DecaysAtEpochs) {
-  // §V-C: kfac-update-freq decreased by a scalar at fixed epochs.
-  UpdateFreqSchedule s({.base_interval = 100,
-                        .decay_epochs = {20.0f, 40.0f},
-                        .decay_factor = 0.5f});
-  EXPECT_EQ(s.interval_at(10.0f), 100);
-  EXPECT_EQ(s.interval_at(25.0f), 50);
-  EXPECT_EQ(s.interval_at(45.0f), 25);
-}
-
-TEST(UpdateFreqSchedule, ClampsAtMinInterval) {
-  UpdateFreqSchedule s({.base_interval = 4,
-                        .decay_epochs = {1.0f, 2.0f, 3.0f},
-                        .decay_factor = 0.25f,
-                        .min_interval = 2});
-  EXPECT_EQ(s.interval_at(5.0f), 2);
-}
-
 }  // namespace
 }  // namespace dkfac::optim
