@@ -207,8 +207,8 @@ PipelineResult run_arena(Precision prec) {
               std::span<const float>(mem.data() + p, static_cast<size_t>(c)),
               mem.subspan(static_cast<size_t>(e), static_cast<size_t>(ec)),
               prec);  // in place: no inter-buffer traffic
-          fusion.add(slot.subview(static_cast<size_t>(e),
-                                  static_cast<size_t>(ec), prec));
+          fusion.add(
+              slot.subview(static_cast<size_t>(e), static_cast<size_t>(ec)));
         } else {
           fusion.add(
               slot.subview(static_cast<size_t>(p), static_cast<size_t>(c)));

@@ -31,15 +31,13 @@ std::span<float> BufferView::span() const {
   return {data_, size_};
 }
 
-BufferView BufferView::subview(size_t offset, size_t count,
-                               Precision precision) const {
+BufferView BufferView::subview(size_t offset, size_t count) const {
   DKFAC_CHECK(offset + count <= size_)
       << "subview [" << offset << ", " << offset + count
       << ") exceeds view of " << size_ << " floats";
   BufferView out = *this;
   out.data_ = data_ + offset;
   out.size_ = count;
-  out.precision_ = precision;
   return out;
 }
 

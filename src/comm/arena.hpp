@@ -86,11 +86,8 @@ class BufferView {
   /// (overlap rejection, contiguity detection), never dereference.
   const float* address() const { return data_; }
 
-  /// A window into this view; the precision defaults to the parent's.
-  BufferView subview(size_t offset, size_t count) const {
-    return subview(offset, count, precision_);
-  }
-  BufferView subview(size_t offset, size_t count, Precision precision) const;
+  /// A window into this view, at the parent's precision.
+  BufferView subview(size_t offset, size_t count) const;
 
  private:
   friend class Arena;

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "comm/net/wire.hpp"
@@ -162,8 +163,8 @@ T parse_number(const std::string& value, const std::string& field) {
 constexpr double kMaxStallSeconds =
     std::chrono::duration<double>(std::chrono::nanoseconds::max()).count();
 
-/// arg=X: a finite, non-negative number of stall seconds below
-/// kMaxStallSeconds.
+/// arg=X for any action but short_write: a finite, non-negative number of
+/// stall seconds below kMaxStallSeconds.
 double parse_arg(const std::string& value) {
   double v = 0.0;
   const char* end = value.data() + value.size();
@@ -188,6 +189,7 @@ Plan parse_plan(const std::string& text) {
     bool has_action = false;
     bool seed_only = false;
     bool has_op = false;
+    std::optional<std::string> arg;  // read once the action is known
     for (const std::string& raw_field : split(rule_text, ',')) {
       const std::string field = trim(raw_field);
       const size_t eq = field.find('=');
@@ -234,12 +236,15 @@ Plan parse_plan(const std::string& text) {
         else if (value == "abort") rule.action = Action::kAbort;
         else throw Error("faultnet: unknown action '" + value + "' in fault plan");
       } else if (key == "arg") {
-        rule.stall_s = parse_arg(value);
-        rule.write_cap = static_cast<uint64_t>(
-            std::strtoull(value.c_str(), nullptr, 10));
+        arg = value;
       } else {
         throw Error("faultnet: unknown fault plan key '" + key + "'");
       }
+    }
+    if (arg && rule.action == Action::kShortWrite) {
+      rule.write_cap = parse_number<uint64_t>(*arg, "arg");
+    } else if (arg) {
+      rule.stall_s = parse_arg(*arg);
     }
     if (seed_only && !has_action && !has_op && rule.phase == Phase::kNone) {
       continue;  // a bare "seed=N" rule only configures the plan RNG

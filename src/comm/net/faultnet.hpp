@@ -38,13 +38,15 @@
 //     nth=N        fire on the Nth matching occurrence (1-based, default 1)
 //     times=K      keep firing for K consecutive matches (default 1)
 //     action=refuse|reset|stall|short_write|bitflip|abort   (required)
-//     arg=X        action argument: stall seconds (float, default 0.05) or
-//                  short_write byte cap (default: half the frame)
+//     arg=X        action argument: short_write byte cap (a whole number;
+//                  default or 0: half the frame) or, for any other action,
+//                  stall seconds (float, default 0.05)
 //
-// Numbers are plain decimal digits, no sign: seed, nth and times up to
-// 2^64−1 with nth + times ≤ 2^64−1, rank and epoch up to 2^31−1, step up
-// to 2^63−1; arg is a finite X with 0 ≤ X < 2^63 ns (about 292 years, what
-// sleep_for can convert). Anything else throws dkfac::Error.
+// Whole numbers are plain decimal digits, no sign: seed, nth, times and a
+// short_write arg up to 2^64−1 with nth + times ≤ 2^64−1, rank and epoch
+// up to 2^31−1, step up to 2^63−1. Any other arg is a finite X with
+// 0 ≤ X < 2^63 ns (about 292 years, what sleep_for can convert). Anything
+// else throws dkfac::Error.
 //
 // When no plan is installed every hook reduces to one relaxed atomic load
 // (`active()`), taken on the false branch — zero overhead and byte-

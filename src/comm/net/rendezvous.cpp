@@ -69,17 +69,13 @@ void RendezvousServer::collect(const std::function<int()>& target,
         return false;
       }
       reg.buf.insert(reg.buf.end(), tmp, tmp + n);
-      if (reg.buf.size() >= kFrameHeaderBytes && !reg.complete) {
-        // Validate the header as soon as it is whole so garbage is
-        // rejected before we wait for a payload that will never come.
+      if (reg.buf.size() >= kFrameHeaderBytes) {
+        // Check the header as soon as it is whole so garbage is rejected
+        // before we wait for a payload that will never come.
         try {
-          const FrameHeader header = FrameHeader::decode(reg.buf.data());
-          header.validate("rendezvous hello");
-          if (header.type != static_cast<uint16_t>(FrameType::kHello) ||
-              header.seq != 0 || header.length != kHelloBytes) {
-            DKFAC_LOG_WARN << "rendezvous: malformed hello frame, dropping";
-            return false;
-          }
+          FrameHeader::decode(reg.buf.data())
+              .check(FrameType::kHello, /*seq=*/0, kHelloBytes,
+                     "rendezvous hello");
         } catch (const Error& e) {
           DKFAC_LOG_WARN << "rendezvous: bad hello header (" << e.what()
                          << "), dropping";

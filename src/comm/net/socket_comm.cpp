@@ -1,7 +1,6 @@
 #include "comm/net/socket_comm.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "comm/net/faultnet.hpp"
 #include "comm/net/rendezvous.hpp"
@@ -12,7 +11,9 @@ namespace dkfac::comm::net {
 
 namespace {
 
-inline std::span<const uint8_t> as_bytes(std::span<const float> s) {
+constexpr int kNoPeer = -1;  // transfer(): no frame on this side
+
+inline std::span<const uint8_t> bytes_of(std::span<const float> s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size_bytes()};
 }
 
@@ -126,65 +127,32 @@ Socket& SocketComm::peer(int r) {
   return sock;
 }
 
-void SocketComm::send_to(int r, FrameType type, std::span<const float> payload) {
+void SocketComm::transfer(int to, std::span<const uint8_t> out, int from,
+                          FrameDst in, FrameType type) {
   try {
-    stats_.wire_sent_bytes +=
-        send_frame(peer(r), type, send_seq_[static_cast<size_t>(r)]++, payload,
-                   options_.timeout_s);
-  } catch (const PeerFailure&) {
-    throw;
-  } catch (const Error& e) {
-    throw PeerFailure(r, e.what());
-  }
-}
-
-void SocketComm::recv_from(int r, FrameType type, std::span<float> payload) {
-  try {
-    stats_.wire_recv_bytes +=
-        recv_frame_into(peer(r), type, recv_seq_[static_cast<size_t>(r)]++,
-                        payload, options_.timeout_s);
-  } catch (const PeerFailure&) {
-    throw;
-  } catch (const Error& e) {
-    throw PeerFailure(r, e.what());
-  }
-}
-
-void SocketComm::exchange(int to, std::span<const float> out, int from,
-                          std::vector<uint8_t>& in_out) {
-  const size_t sent = kFrameHeaderBytes + out.size_bytes();
-  try {
-    const size_t moved = exchange_frames(
-        peer(to), FrameType::kData, send_seq_[static_cast<size_t>(to)]++,
-        as_bytes(out), peer(from), FrameType::kData,
-        recv_seq_[static_cast<size_t>(from)]++, in_out, options_.timeout_s);
+    Socket* to_sock = nullptr;
+    Socket* from_sock = nullptr;
+    uint32_t send_seq = 0;
+    uint32_t recv_seq = 0;
+    size_t sent = 0;
+    if (to != kNoPeer) {
+      to_sock = &peer(to);
+      send_seq = send_seq_[static_cast<size_t>(to)]++;
+      sent = kFrameHeaderBytes + out.size();
+    }
+    if (from != kNoPeer) {
+      from_sock = &peer(from);
+      recv_seq = recv_seq_[static_cast<size_t>(from)]++;
+    }
+    const size_t moved = transfer_frames(to_sock, type, send_seq, out,
+                                         from_sock, type, recv_seq, in,
+                                         options_.timeout_s);
     stats_.wire_sent_bytes += sent;
     stats_.wire_recv_bytes += moved - sent;
-  } catch (const PeerFailure&) {
-    throw;
   } catch (const Error& e) {
-    // The exchange is full-duplex over two links; attribute the failure to
-    // the receive side, where a dead peer manifests first.
-    throw PeerFailure(from, e.what());
-  }
-}
-
-void SocketComm::exchange_into(int to, std::span<const float> out, int from,
-                               std::span<float> in, FrameType type) {
-  const size_t sent = kFrameHeaderBytes + out.size_bytes();
-  try {
-    const size_t moved = exchange_frames_into(
-        peer(to), type, send_seq_[static_cast<size_t>(to)]++, as_bytes(out),
-        peer(from), type, recv_seq_[static_cast<size_t>(from)]++,
-        std::span<uint8_t>(reinterpret_cast<uint8_t*>(in.data()),
-                           in.size_bytes()),
-        options_.timeout_s);
-    stats_.wire_sent_bytes += sent;
-    stats_.wire_recv_bytes += moved - sent;
-  } catch (const PeerFailure&) {
-    throw;
-  } catch (const Error& e) {
-    throw PeerFailure(from, e.what());
+    // A full-duplex step spans two links; blame the receive side, where a
+    // dead peer shows first.
+    throw PeerFailure(from != kNoPeer ? from : to, e.what());
   }
 }
 
@@ -243,11 +211,10 @@ void SocketComm::ring_circulation_allreduce(std::span<float> data, ReduceOp op) 
     // Every rank's block is the same n floats, so the incoming block lands
     // directly in its circulation slot — no intermediate receive buffer,
     // no memcpy (a size-mismatched peer fails inside the exchange).
-    exchange_into(next,
-                  std::span<const float>(circ_blocks_.data() + send_block * n, n),
-                  prev,
-                  std::span<float>(circ_blocks_.data() + recv_block * n, n),
-                  FrameType::kData);
+    transfer(next,
+             bytes_of(std::span<const float>(
+                 circ_blocks_.data() + send_block * n, n)),
+             prev, std::span<float>(circ_blocks_.data() + recv_block * n, n));
   }
 
   // Rank-order fold — the shared helpers ThreadComm's allreduce uses, so
@@ -284,18 +251,20 @@ void SocketComm::pipelined_ring_allreduce(std::span<float> data, ReduceOp op) {
   };
 
   if (rank_ == 0) {
-    for (int k = 0; k < chunks; ++k) send_to(1, FrameType::kData, chunk(data, k));
+    for (int k = 0; k < chunks; ++k) {
+      transfer(1, bytes_of(chunk(data, k)), kNoPeer, {});
+    }
   } else {
     for (int k = 0; k < chunks; ++k) {
       const std::span<float> own = chunk(data, k);
       chain_scratch_.resize(own.size());
       const std::span<float> partial(chain_scratch_.data(), own.size());
-      recv_from(rank_ - 1, FrameType::kData, partial);
+      transfer(kNoPeer, {}, rank_ - 1, partial);
       // The incoming partial already folds ranks 0..rank-1 in order;
       // appending this rank keeps the shared fold's rank-order semantics.
       fold_contribution(partial, own, op);
       if (rank_ < p - 1) {
-        send_to(rank_ + 1, FrameType::kData, partial);
+        transfer(rank_ + 1, bytes_of(partial), kNoPeer, {});
       } else {
         finish_reduce(partial, op, p);
         std::copy(partial.begin(), partial.end(), own.begin());
@@ -305,12 +274,16 @@ void SocketComm::pipelined_ring_allreduce(std::span<float> data, ReduceOp op) {
 
   // Distribution chain p-1 → 0 → 1 → ... → p-2; rank p-2 is the sink.
   if (rank_ == p - 1) {
-    for (int k = 0; k < chunks; ++k) send_to(0, FrameType::kData, chunk(data, k));
+    for (int k = 0; k < chunks; ++k) {
+      transfer(0, bytes_of(chunk(data, k)), kNoPeer, {});
+    }
   } else {
     const int source = rank_ == 0 ? p - 1 : rank_ - 1;
     for (int k = 0; k < chunks; ++k) {
-      recv_from(source, FrameType::kData, chunk(data, k));
-      if (rank_ <= p - 3) send_to(rank_ + 1, FrameType::kData, chunk(data, k));
+      transfer(kNoPeer, {}, source, chunk(data, k));
+      if (rank_ <= p - 3) {
+        transfer(rank_ + 1, bytes_of(chunk(data, k)), kNoPeer, {});
+      }
     }
   }
 }
@@ -327,39 +300,34 @@ void SocketComm::allgather_into(std::span<const float> send,
   const uint64_t wire_before = stats_.wire_sent_bytes + stats_.wire_recv_bytes;
 
   // Ring circulation with variable block sizes — the frame length prefix
-  // carries each block's size, so no separate size exchange is needed, but
-  // it also means receive sizes are unknown up front: this is the one ring
-  // that keeps a variable-length landing buffer (recv_buf_) instead of
-  // exchange_into. gather_blocks_ and recv_buf_ are members so
-  // steady-state iterations (same per-rank sizes every exchange) reuse
-  // their capacities — no allocation once warm.
+  // carries each block's size, so no separate size exchange is needed, and
+  // each incoming block is appended straight into its emptied
+  // gather_blocks_ entry. The entries are members so steady-state
+  // iterations (same per-rank sizes every exchange) reuse their
+  // capacities — no allocation once warm.
   const int p = size_;
   const int next = (rank_ + 1) % p;
   const int prev = (rank_ - 1 + p) % p;
   gather_blocks_.resize(static_cast<size_t>(p));
-  gather_blocks_[static_cast<size_t>(rank_)].assign(send.begin(), send.end());
+  const std::span<const uint8_t> own = bytes_of(send);
+  gather_blocks_[static_cast<size_t>(rank_)].assign(own.begin(), own.end());
   for (int s = 0; s < p - 1; ++s) {
     const auto send_block = static_cast<size_t>((rank_ - s + p) % p);
-    const auto recv_block = static_cast<size_t>((rank_ - s - 1 + p) % p);
-    recv_buf_.clear();
-    exchange(next, gather_blocks_[send_block], prev, recv_buf_);
-    DKFAC_CHECK(recv_buf_.size() % sizeof(float) == 0)
+    std::vector<uint8_t>& block =
+        gather_blocks_[static_cast<size_t>((rank_ - s - 1 + p) % p)];
+    block.clear();
+    transfer(next, gather_blocks_[send_block], prev, block);
+    DKFAC_CHECK(block.size() % sizeof(float) == 0)
         << "allgather block not float-aligned";
-    gather_blocks_[recv_block].resize(recv_buf_.size() / sizeof(float));
-    std::memcpy(gather_blocks_[recv_block].data(), recv_buf_.data(),
-                recv_buf_.size());
   }
 
   size_t total = 0;
   for (const auto& b : gather_blocks_) total += b.size();
   // resize + positional copy so a warm caller-owned buffer is refilled
   // without touching the heap.
-  recv.resize(total);
-  size_t offset = 0;
-  for (const auto& b : gather_blocks_) {
-    std::copy(b.begin(), b.end(), recv.begin() + static_cast<ptrdiff_t>(offset));
-    offset += b.size();
-  }
+  recv.resize(total / sizeof(float));
+  auto* dst = reinterpret_cast<uint8_t*>(recv.data());
+  for (const auto& b : gather_blocks_) dst = std::copy(b.begin(), b.end(), dst);
   if (span.active()) {
     span.set_arg("bytes", send.size_bytes());
     span.set_arg("wire_bytes", stats_.wire_sent_bytes +
@@ -385,7 +353,7 @@ void SocketComm::broadcast(std::span<float> data, int root) {
   while (mask < static_cast<unsigned>(p)) {
     if (vrank & static_cast<int>(mask)) {
       const int src = (vrank - static_cast<int>(mask) + root) % p;
-      recv_from(src, FrameType::kData, data);
+      transfer(kNoPeer, {}, src, data);
       break;
     }
     mask <<= 1;
@@ -394,7 +362,7 @@ void SocketComm::broadcast(std::span<float> data, int root) {
   while (mask > 0) {
     if (vrank + static_cast<int>(mask) < p) {
       const int dst = (vrank + static_cast<int>(mask) + root) % p;
-      send_to(dst, FrameType::kData, data);
+      transfer(dst, bytes_of(data), kNoPeer, {});
     }
     mask >>= 1;
   }
@@ -416,8 +384,8 @@ void SocketComm::barrier() {
     const int from = (rank_ - d + p) % p;
     const float token = static_cast<float>(d);
     float got = 0.0f;
-    exchange_into(to, std::span<const float>(&token, 1), from,
-                  std::span<float>(&got, 1), FrameType::kBarrier);
+    transfer(to, bytes_of(std::span<const float>(&token, 1)), from,
+             std::span<float>(&got, 1), FrameType::kBarrier);
     DKFAC_CHECK(got == token)
         << "barrier round mismatch: expected " << token << ", got " << got
         << " (collective sequence desync?)";

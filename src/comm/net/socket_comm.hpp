@@ -41,12 +41,12 @@
 //   broadcast                   binomial tree rooted at `root`.
 //   barrier                     dissemination (⌈log₂ p⌉ rounds).
 //
-// Cyclic communication steps (circulation, dissemination) use the
-// full-duplex exchange_frames primitive so they cannot deadlock when a
-// payload outgrows the kernel socket buffers; chain phases use plain
-// framed sends. Every operation runs under Options::timeout_s — a dead
-// peer or a desynchronised collective surfaces as a dkfac::Error, never
-// a hang.
+// Every step goes through the wire's one frame pump (transfer_frames).
+// Cyclic steps (circulation, dissemination) send and receive in full
+// duplex so they cannot deadlock when a payload outgrows the kernel socket
+// buffers; chain phases send or receive one frame at a time. Every frame
+// runs under Options::timeout_s — a dead peer or a desynchronised
+// collective surfaces as a dkfac::Error, never a hang.
 //
 // CommStats: the logical counters follow the cross-backend payload
 // convention (see communicator.hpp); wire_sent_bytes / wire_recv_bytes
@@ -119,21 +119,15 @@ class SocketComm final : public Communicator {
 
  private:
   Socket& peer(int r);
-  /// Framed send/recv to a specific rank, maintaining per-peer sequence
-  /// counters and the wire-byte accounting. Any transport failure on a
-  /// peer link rethrows as PeerFailure naming that rank — the typed signal
-  /// elastic callers use to trigger re-formation.
-  void send_to(int r, FrameType type, std::span<const float> payload);
-  void recv_from(int r, FrameType type, std::span<float> payload);
-  /// Full-duplex ring step (see exchange_frames): send to `to` while
-  /// receiving a variable-length block from `from` into `in_out`.
-  void exchange(int to, std::span<const float> out, int from,
-                std::vector<uint8_t>& in_out);
-  /// Full-duplex ring step with a known receive size: the incoming block
-  /// lands DIRECTLY in `in` (see exchange_frames_into) — the zero-copy
-  /// step the fixed-size rings (allreduce circulation, barrier) use.
-  void exchange_into(int to, std::span<const float> out, int from,
-                     std::span<float> in, FrameType type);
+  /// The one framed step on peer links (see transfer_frames): sends `out`
+  /// to rank `to` while receiving from rank `from` into `in`; a rank of -1
+  /// drops that side. Keeps the per-peer sequence counters and the
+  /// wire-byte accounting. A transport failure rethrows as PeerFailure
+  /// naming the receiving peer, or the peer sent to when nothing is
+  /// received — the typed signal elastic callers use to trigger
+  /// re-formation.
+  void transfer(int to, std::span<const uint8_t> out, int from, FrameDst in,
+                FrameType type = FrameType::kData);
 
   void ring_circulation_allreduce(std::span<float> data, ReduceOp op);
   void pipelined_ring_allreduce(std::span<float> data, ReduceOp op);
@@ -150,8 +144,7 @@ class SocketComm final : public Communicator {
   // buffers converge to the largest payload seen and stay there).
   std::vector<float> circ_blocks_;   // p·n circulation blocks (small path)
   std::vector<float> chain_scratch_; // one chunk's running partial
-  std::vector<uint8_t> recv_buf_;    // variable-length exchange() landing area
-  std::vector<std::vector<float>> gather_blocks_;  // allgather, by rank
+  std::vector<std::vector<uint8_t>> gather_blocks_;  // allgather, by rank
 };
 
 }  // namespace dkfac::comm::net

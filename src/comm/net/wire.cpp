@@ -166,13 +166,30 @@ FrameHeader FrameHeader::decode(const uint8_t in[kFrameHeaderBytes]) {
   return h;
 }
 
-void FrameHeader::validate(const char* context) const {
+void FrameHeader::check(FrameType expected_type, uint32_t expected_seq,
+                        std::optional<size_t> expected_length,
+                        const char* context) const {
   DKFAC_CHECK(magic == kWireMagic)
       << context << ": bad frame magic 0x" << std::hex << magic
       << " (not a dkfac peer?)";
   DKFAC_CHECK(version == kWireVersion)
       << context << ": wire version mismatch — peer speaks v" << version
       << ", this build speaks v" << kWireVersion;
+  // Before anything sizes a destination by it: the checksum only runs
+  // after the payload has landed.
+  DKFAC_CHECK(length <= kMaxFramePayloadBytes)
+      << context << ": frame payload length " << length
+      << " exceeds the protocol cap (corrupt stream?)";
+  DKFAC_CHECK(type == static_cast<uint16_t>(expected_type))
+      << context << ": frame type mismatch: expected "
+      << static_cast<int>(expected_type) << ", got " << type
+      << " (collective sequence desync?)";
+  DKFAC_CHECK(seq == expected_seq)
+      << context << ": frame sequence mismatch: expected " << expected_seq
+      << ", got " << seq << " (collective sequence desync?)";
+  DKFAC_CHECK(!expected_length || length == *expected_length)
+      << context << ": frame length mismatch: peer sent " << length
+      << " bytes, expected " << *expected_length;
 }
 
 // ---- Socket ---------------------------------------------------------------
@@ -256,94 +273,6 @@ Socket Socket::connect_to(const std::string& host, uint16_t port,
   }
 }
 
-void Socket::send_all(const void* data, size_t n, double timeout_s) {
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(timeout_s));
-  const auto* p = static_cast<const uint8_t*>(data);
-  size_t sent = 0;
-  while (sent < n) {
-    // MSG_NOSIGNAL: a dead peer must surface as EPIPE → Error, not SIGPIPE.
-    const ssize_t rc = ::send(fd_, p + sent, n - sent, MSG_NOSIGNAL);
-    if (rc > 0) {
-      sent += static_cast<size_t>(rc);
-      continue;
-    }
-    if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      wait_ready(fd_, POLLOUT, deadline, "send");
-      continue;
-    }
-    if (rc < 0 && errno == EINTR) continue;
-    if (rc < 0 && (errno == EPIPE || errno == ECONNRESET)) {
-      throw Error("send: peer closed the connection");
-    }
-    throw_errno("send");
-  }
-}
-
-void Socket::send_vectored(const void* a, size_t an, const void* b, size_t bn,
-                           double timeout_s) {
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(timeout_s));
-  const auto* pa = static_cast<const uint8_t*>(a);
-  const auto* pb = static_cast<const uint8_t*>(b);
-  const size_t total = an + bn;
-  size_t sent = 0;
-  while (sent < total) {
-    // Rebuild the iovec from the running offset each round: a partial send
-    // may have ended anywhere, including mid-first-region.
-    iovec iov[2];
-    int iovcnt = 0;
-    if (sent < an) {
-      iov[iovcnt++] = {const_cast<uint8_t*>(pa + sent), an - sent};
-      if (bn > 0) iov[iovcnt++] = {const_cast<uint8_t*>(pb), bn};
-    } else {
-      iov[iovcnt++] = {const_cast<uint8_t*>(pb + (sent - an)), total - sent};
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<size_t>(iovcnt);
-    const ssize_t rc = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (rc > 0) {
-      sent += static_cast<size_t>(rc);
-      continue;
-    }
-    if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      wait_ready(fd_, POLLOUT, deadline, "send");
-      continue;
-    }
-    if (rc < 0 && errno == EINTR) continue;
-    if (rc < 0 && (errno == EPIPE || errno == ECONNRESET)) {
-      throw Error("send: peer closed the connection");
-    }
-    throw_errno("send");
-  }
-}
-
-void Socket::recv_all(void* data, size_t n, double timeout_s) {
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(timeout_s));
-  auto* p = static_cast<uint8_t*>(data);
-  size_t got = 0;
-  while (got < n) {
-    const ssize_t rc = ::recv(fd_, p + got, n - got, 0);
-    if (rc > 0) {
-      got += static_cast<size_t>(rc);
-      continue;
-    }
-    if (rc == 0) throw Error("recv: peer closed the connection");
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      wait_ready(fd_, POLLIN, deadline, "recv");
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == ECONNRESET) throw Error("recv: peer closed the connection");
-    throw_errno("recv");
-  }
-}
-
 // ---- ListenSocket ---------------------------------------------------------
 
 ListenSocket::ListenSocket() {
@@ -384,280 +313,159 @@ Socket ListenSocket::accept(double timeout_s) {
 
 // ---- framed I/O -----------------------------------------------------------
 
-size_t send_frame(Socket& sock, FrameType type, uint32_t seq,
-                  std::span<const uint8_t> payload, double timeout_s) {
-  FrameHeader header;
-  header.type = static_cast<uint16_t>(type);
-  header.seq = seq;
-  header.length = static_cast<uint32_t>(payload.size());
-  DKFAC_CHECK(payload.size() == header.length) << "frame payload too large";
-  header.checksum = crc32(payload);
-  uint8_t raw[kFrameHeaderBytes];
-  header.encode(raw);
-  if (faultnet::active()) {
-    // The hook runs AFTER the checksum above, so an injected bitflip ships
-    // under the original CRC and the receiver converts it to a typed error.
-    thread_local std::vector<uint8_t> fault_scratch;
-    const faultnet::SendFault fault =
-        faultnet::on_send(sock.fd(), payload, fault_scratch);
-    if (fault.truncate_after) {
-      const size_t cap = *fault.truncate_after;
-      const size_t head = std::min(cap, kFrameHeaderBytes);
-      sock.send_all(raw, head, timeout_s);
-      if (cap > head) {
-        sock.send_all(fault.payload.data(), cap - head, timeout_s);
-      }
-      ::shutdown(sock.fd(), SHUT_RDWR);
-      throw Error("send: faultnet injected short write (" +
-                  std::to_string(cap) + " of " +
-                  std::to_string(kFrameHeaderBytes + payload.size()) +
-                  " bytes)");
-    }
-    sock.send_vectored(raw, kFrameHeaderBytes, fault.payload.data(),
-                       fault.payload.size(), timeout_s);
-    return kFrameHeaderBytes + payload.size();
-  }
-  // Gather-send header + payload in one syscall: the payload is read
-  // straight from the caller's (arena) memory, never assembled into a
-  // contiguous frame buffer first.
-  sock.send_vectored(raw, kFrameHeaderBytes, payload.data(), payload.size(),
-                     timeout_s);
-  return kFrameHeaderBytes + payload.size();
-}
-
-namespace {
-
-FrameHeader recv_validated_header(Socket& sock, FrameType type, uint32_t seq,
-                                  double timeout_s) {
-  if (faultnet::active()) faultnet::on_recv(sock.fd());
-  uint8_t raw[kFrameHeaderBytes];
-  sock.recv_all(raw, kFrameHeaderBytes, timeout_s);
-  const FrameHeader header = FrameHeader::decode(raw);
-  header.validate("recv_frame");
-  DKFAC_CHECK(header.length <= kMaxFramePayloadBytes)
-      << "frame payload length " << header.length
-      << " exceeds the protocol cap (corrupt stream?)";
-  DKFAC_CHECK(header.type == static_cast<uint16_t>(type))
-      << "frame type mismatch: expected " << static_cast<int>(type) << ", got "
-      << header.type << " (collective sequence desync?)";
-  DKFAC_CHECK(header.seq == seq)
-      << "frame sequence mismatch: expected " << seq << ", got " << header.seq
-      << " (collective sequence desync?)";
-  return header;
-}
-
-void check_payload_crc(const FrameHeader& header,
-                       std::span<const uint8_t> payload) {
-  const uint32_t actual = crc32(payload);
-  DKFAC_CHECK(actual == header.checksum)
-      << "frame checksum mismatch: payload corrupted in transit (expected 0x"
-      << std::hex << header.checksum << ", got 0x" << actual << ")";
-}
-
-}  // namespace
-
-size_t recv_frame_into(Socket& sock, FrameType type, uint32_t seq,
-                       std::span<uint8_t> payload, double timeout_s) {
-  const FrameHeader header = recv_validated_header(sock, type, seq, timeout_s);
-  DKFAC_CHECK(header.length == payload.size())
-      << "frame length mismatch: peer sent " << header.length
-      << " bytes, expected " << payload.size();
-  if (!payload.empty()) sock.recv_all(payload.data(), payload.size(), timeout_s);
-  check_payload_crc(header, payload);
-  return kFrameHeaderBytes + payload.size();
-}
-
-size_t recv_frame(Socket& sock, FrameType type, uint32_t seq,
-                  std::vector<uint8_t>& out, double timeout_s) {
-  const FrameHeader header = recv_validated_header(sock, type, seq, timeout_s);
-  const size_t base = out.size();
-  out.resize(base + header.length);
-  if (header.length > 0) sock.recv_all(out.data() + base, header.length, timeout_s);
-  check_payload_crc(header,
-                    std::span<const uint8_t>(out.data() + base, header.length));
-  return kFrameHeaderBytes + header.length;
-}
-
-namespace {
-
-/// Shared full-duplex engine for both exchange variants. `resolve_dst`
-/// maps the validated incoming payload length to the destination pointer
-/// — appending to a vector or checking a fixed span — and is called
-/// exactly once, the moment the header has fully landed.
-template <typename ResolveDst>
-size_t exchange_frames_impl(Socket& to, FrameType send_type, uint32_t send_seq,
-                            std::span<const uint8_t> send_payload, Socket& from,
-                            FrameType recv_type, uint32_t recv_seq,
-                            ResolveDst&& resolve_dst, double timeout_s) {
+size_t transfer_frames(Socket* to, FrameType send_type, uint32_t send_seq,
+                       std::span<const uint8_t> send_payload, Socket* from,
+                       FrameType recv_type, uint32_t recv_seq,
+                       FrameDst recv_dst, double timeout_s) {
+  // One deadline per call, from the moment it starts: an injected stall
+  // below counts against it.
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(timeout_s));
+  const char* what = to == nullptr     ? "recv"
+                     : from == nullptr ? "send"
+                                       : "exchange";
 
-  // Send state: header bytes then payload bytes, tracked by a single offset.
-  FrameHeader send_header;
-  send_header.type = static_cast<uint16_t>(send_type);
-  send_header.seq = send_seq;
-  send_header.length = static_cast<uint32_t>(send_payload.size());
-  send_header.checksum = crc32(send_payload);
+  // Send state: header bytes then payload bytes, tracked by one offset.
   uint8_t send_raw[kFrameHeaderBytes];
-  send_header.encode(send_raw);
+  size_t send_total = 0;
+  if (to != nullptr) {
+    FrameHeader header;
+    header.type = static_cast<uint16_t>(send_type);
+    header.seq = send_seq;
+    header.length = static_cast<uint32_t>(send_payload.size());
+    DKFAC_CHECK(send_payload.size() == header.length)
+        << "frame payload too large";
+    header.checksum = crc32(send_payload);
+    header.encode(send_raw);
+    send_total = kFrameHeaderBytes + send_payload.size();
+  }
+  size_t send_end = send_total;  // below send_total: an injected short write
+  bool receiving = from != nullptr;
   std::vector<uint8_t> fault_scratch;
   if (faultnet::active()) {
     // After the checksum: an injected bitflip ships under the original CRC
-    // (typed error at the receiver), a short write truncates the frame.
-    const faultnet::SendFault fault =
-        faultnet::on_send(to.fd(), send_payload, fault_scratch);
-    if (fault.truncate_after) {
-      const size_t cap = *fault.truncate_after;
-      const size_t head = std::min(cap, kFrameHeaderBytes);
-      to.send_all(send_raw, head, timeout_s);
-      if (cap > head) to.send_all(fault.payload.data(), cap - head, timeout_s);
-      ::shutdown(to.fd(), SHUT_RDWR);
-      throw Error("exchange: faultnet injected short write");
+    // (a typed error at the receiver). A short write ends the frame, and
+    // the connection, before this call receives anything.
+    if (to != nullptr) {
+      const faultnet::SendFault fault =
+          faultnet::on_send(to->fd(), send_payload, fault_scratch);
+      send_payload = fault.payload;
+      if (fault.truncate_after) {
+        send_end = *fault.truncate_after;
+        receiving = false;
+      }
     }
-    send_payload = fault.payload;
-    faultnet::on_recv(from.fd());
+    if (receiving) faultnet::on_recv(from->fd());
   }
-  size_t send_pos = 0;
-  const size_t send_total = kFrameHeaderBytes + send_payload.size();
 
-  // Receive state: header first, then payload straight into resolve_dst's
-  // destination — the payload is never staged in an intermediate buffer.
+  // Receive state: header first, then the payload straight into recv_dst,
+  // which is resolved the moment the header has landed and passed its
+  // check — the payload is never staged in an intermediate buffer.
   uint8_t recv_raw[kFrameHeaderBytes];
-  size_t recv_pos = 0;
   FrameHeader recv_header;
-  bool have_header = false;
-  uint8_t* recv_dst = nullptr;
-  size_t recv_total = kFrameHeaderBytes;  // grows once the header is parsed
+  uint8_t* recv_payload = nullptr;
+  size_t recv_pos = 0;
+  // Grows by the payload length once the header has landed.
+  size_t recv_total = receiving ? kFrameHeaderBytes : 0;
 
-  auto pump_send = [&]() {
-    while (send_pos < send_total) {
+  size_t send_pos = 0;
+  auto pump_send = [&] {
+    while (send_pos < send_end) {
       // Gather header + payload into one sendmsg: the payload leaves from
       // the caller's memory without frame assembly. The iovec is rebuilt
       // from the running offset each round — a partial send may have
-      // stopped anywhere, including mid-header.
+      // stopped anywhere, including mid-header — and stops at send_end.
+      size_t left = send_end - send_pos;
       iovec iov[2];
-      int iovcnt = 0;
+      size_t iovcnt = 0;
       if (send_pos < kFrameHeaderBytes) {
-        iov[iovcnt++] = {send_raw + send_pos, kFrameHeaderBytes - send_pos};
-        if (!send_payload.empty()) {
-          iov[iovcnt++] = {const_cast<uint8_t*>(send_payload.data()),
-                           send_payload.size()};
-        }
-      } else {
-        iov[iovcnt++] = {
-            const_cast<uint8_t*>(send_payload.data()) +
-                (send_pos - kFrameHeaderBytes),
-            send_total - send_pos};
+        const size_t head = std::min(left, kFrameHeaderBytes - send_pos);
+        iov[iovcnt++] = {send_raw + send_pos, head};
+        left -= head;
+      }
+      if (left > 0) {
+        const size_t offset =
+            std::max(send_pos, kFrameHeaderBytes) - kFrameHeaderBytes;
+        iov[iovcnt++] = {const_cast<uint8_t*>(send_payload.data()) + offset,
+                         left};
       }
       msghdr msg{};
       msg.msg_iov = iov;
-      msg.msg_iovlen = static_cast<size_t>(iovcnt);
-      const ssize_t rc = ::sendmsg(to.fd(), &msg, MSG_NOSIGNAL);
+      msg.msg_iovlen = iovcnt;
+      // MSG_NOSIGNAL: a dead peer must surface as EPIPE → Error, not SIGPIPE.
+      const ssize_t rc = ::sendmsg(to->fd(), &msg, MSG_NOSIGNAL);
       if (rc > 0) {
         send_pos += static_cast<size_t>(rc);
         continue;
       }
-      if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      if (rc < 0 && errno == EINTR) continue;
+      if (rc < 0 && transient_io_errno(errno)) return;
       if (rc < 0 && (errno == EPIPE || errno == ECONNRESET)) {
-        throw Error("exchange: peer closed the connection");
+        throw Error(std::string(what) + ": peer closed the connection");
       }
-      throw_errno("exchange send");
+      throw_errno(what);
     }
   };
 
-  auto pump_recv = [&]() {
-    for (;;) {
-      uint8_t* dst;
-      size_t left;
-      if (recv_pos < kFrameHeaderBytes) {
-        dst = recv_raw + recv_pos;
-        left = kFrameHeaderBytes - recv_pos;
-      } else {
-        if (!have_header) {
-          recv_header = FrameHeader::decode(recv_raw);
-          recv_header.validate("exchange");
-          DKFAC_CHECK(recv_header.length <= kMaxFramePayloadBytes)
-              << "exchange frame payload length " << recv_header.length
-              << " exceeds the protocol cap (corrupt stream?)";
-          DKFAC_CHECK(recv_header.type == static_cast<uint16_t>(recv_type))
-              << "exchange frame type mismatch: expected "
-              << static_cast<int>(recv_type) << ", got " << recv_header.type;
-          DKFAC_CHECK(recv_header.seq == recv_seq)
-              << "exchange frame sequence mismatch: expected " << recv_seq
-              << ", got " << recv_header.seq;
-          recv_dst = resolve_dst(recv_header.length);
-          recv_total = kFrameHeaderBytes + recv_header.length;
-          have_header = true;
+  auto pump_recv = [&] {
+    while (recv_pos < recv_total) {
+      uint8_t* dst = recv_pos < kFrameHeaderBytes
+                         ? recv_raw + recv_pos
+                         : recv_payload + (recv_pos - kFrameHeaderBytes);
+      const ssize_t rc = ::recv(from->fd(), dst, recv_total - recv_pos, 0);
+      if (rc == 0 || (rc < 0 && errno == ECONNRESET)) {
+        throw Error(std::string(what) + ": peer closed the connection");
+      }
+      if (rc < 0 && transient_io_errno(errno)) return;
+      if (rc < 0) throw_errno(what);
+      recv_pos += static_cast<size_t>(rc);
+      if (recv_pos == kFrameHeaderBytes) {
+        recv_header = FrameHeader::decode(recv_raw);
+        std::vector<uint8_t>* append = recv_dst.append;
+        recv_header.check(recv_type, recv_seq,
+                          append ? std::nullopt
+                                 : std::optional<size_t>(recv_dst.fixed.size()),
+                          what);
+        if (append != nullptr) {
+          const size_t base = append->size();
+          append->resize(base + recv_header.length);
+          recv_payload = append->data() + base;
+        } else {
+          recv_payload = recv_dst.fixed.data();
         }
-        if (recv_pos >= recv_total) return;
-        dst = recv_dst + (recv_pos - kFrameHeaderBytes);
-        left = recv_total - recv_pos;
+        recv_total += recv_header.length;
       }
-      const ssize_t rc = ::recv(from.fd(), dst, left, 0);
-      if (rc > 0) {
-        recv_pos += static_cast<size_t>(rc);
-        if (recv_pos == recv_total && have_header) return;
-        continue;
-      }
-      if (rc == 0) throw Error("exchange: peer closed the connection");
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) throw Error("exchange: peer closed the connection");
-      throw_errno("exchange recv");
     }
   };
 
-  auto recv_done = [&] { return have_header && recv_pos >= recv_total; };
-  // Parse the header as soon as it lands even if no more bytes follow yet
-  // (zero-length frames complete without another recv()).
-  while (send_pos < send_total || !recv_done()) {
+  for (;;) {
     pump_send();
     pump_recv();
-    if (send_pos >= send_total && recv_done()) break;
+    const bool sending = send_pos < send_end;
+    const bool waiting = recv_pos < recv_total;
+    if (!sending && !waiting) break;
     pollfd pfds[2];
     nfds_t nfds = 0;
-    if (send_pos < send_total) pfds[nfds++] = {to.fd(), POLLOUT, 0};
-    if (!recv_done()) pfds[nfds++] = {from.fd(), POLLIN, 0};
-    const int rc = ::poll(pfds, nfds, remaining_ms(deadline, "exchange"));
-    if (rc < 0 && errno != EINTR) throw_errno("exchange poll");
+    if (sending) pfds[nfds++] = {to->fd(), POLLOUT, 0};
+    if (waiting) pfds[nfds++] = {from->fd(), POLLIN, 0};
+    const int rc = ::poll(pfds, nfds, remaining_ms(deadline, what));
+    if (rc < 0 && errno != EINTR) throw_errno(what);
   }
 
-  check_payload_crc(recv_header,
-                    std::span<const uint8_t>(recv_dst, recv_header.length));
+  if (send_end < send_total) {
+    ::shutdown(to->fd(), SHUT_RDWR);
+    throw Error(std::string(what) + ": faultnet injected short write (" +
+                std::to_string(send_end) + " of " +
+                std::to_string(send_total) + " bytes)");
+  }
+  if (receiving) {
+    const uint32_t actual = crc32({recv_payload, recv_header.length});
+    DKFAC_CHECK(actual == recv_header.checksum)
+        << what << ": frame checksum mismatch: payload corrupted in transit "
+        << "(expected 0x" << std::hex << recv_header.checksum << ", got 0x"
+        << actual << ")";
+  }
   return send_total + recv_total;
-}
-
-}  // namespace
-
-size_t exchange_frames(Socket& to, FrameType send_type, uint32_t send_seq,
-                       std::span<const uint8_t> send_payload, Socket& from,
-                       FrameType recv_type, uint32_t recv_seq,
-                       std::vector<uint8_t>& in_out, double timeout_s) {
-  const size_t recv_base = in_out.size();
-  return exchange_frames_impl(
-      to, send_type, send_seq, send_payload, from, recv_type, recv_seq,
-      [&](uint32_t length) {
-        in_out.resize(recv_base + length);
-        return in_out.data() + recv_base;
-      },
-      timeout_s);
-}
-
-size_t exchange_frames_into(Socket& to, FrameType send_type, uint32_t send_seq,
-                            std::span<const uint8_t> send_payload, Socket& from,
-                            FrameType recv_type, uint32_t recv_seq,
-                            std::span<uint8_t> recv_payload, double timeout_s) {
-  return exchange_frames_impl(
-      to, send_type, send_seq, send_payload, from, recv_type, recv_seq,
-      [&](uint32_t length) {
-        DKFAC_CHECK(length == recv_payload.size())
-            << "exchange frame length mismatch: peer sent " << length
-            << " bytes, expected " << recv_payload.size();
-        return recv_payload.data();
-      },
-      timeout_s);
 }
 
 }  // namespace dkfac::comm::net

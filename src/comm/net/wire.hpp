@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,8 +59,12 @@ struct FrameHeader {
 
   void encode(uint8_t out[kFrameHeaderBytes]) const;
   static FrameHeader decode(const uint8_t in[kFrameHeaderBytes]);
-  /// Magic/version sanity — throws dkfac::Error with `context` on mismatch.
-  void validate(const char* context) const;
+  /// The one check a received header passes before any of its payload is
+  /// read: magic, version, the payload cap, the expected type and seq and,
+  /// when `length` is set, that exact payload length. Throws dkfac::Error
+  /// prefixed with `context` on the first mismatch.
+  void check(FrameType type, uint32_t seq, std::optional<size_t> length,
+             const char* context) const;
 };
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`.
@@ -68,9 +73,8 @@ uint32_t crc32(std::span<const uint8_t> data);
 // ---- errno classification -------------------------------------------------
 //
 // The single place transient vs fatal network errnos are told apart; the
-// Socket retry loops and the rendezvous registration pump both route
-// through these so the two layers can never drift on what "try again"
-// means.
+// connect loop, the frame pump and the rendezvous registration pump all
+// route through these so they can never drift on what "try again" means.
 
 /// Connect-phase errnos worth retrying until the deadline: the listener is
 /// not accepting yet (rendezvous startup) or the kernel dropped the
@@ -125,19 +129,6 @@ class Socket {
   /// kernel waiting for a full segment.
   void set_nodelay();
 
-  /// Sends exactly `n` bytes before `deadline` or throws.
-  void send_all(const void* data, size_t n, double timeout_s);
-  /// Gather-send: exactly `an + bn` bytes from the two regions in order,
-  /// via sendmsg/iovec — one syscall (and one TCP segment, under Nagle-off)
-  /// where send_all(a) + send_all(b) takes two. This is how a frame header
-  /// and its payload leave without first being assembled into a contiguous
-  /// scratch buffer.
-  void send_vectored(const void* a, size_t an, const void* b, size_t bn,
-                     double timeout_s);
-  /// Receives exactly `n` bytes before `deadline` or throws; a peer close
-  /// mid-message throws "closed the connection".
-  void recv_all(void* data, size_t n, double timeout_s);
-
  private:
   int fd_ = -1;
 };
@@ -164,12 +155,49 @@ class ListenSocket {
 
 // ---- framed I/O -----------------------------------------------------------
 //
-// All helpers return the wire bytes moved (header + payload) so callers
-// can account real bytes-on-wire in CommStats.
+// One pump, transfer_frames(), moves every frame byte. It sends one frame,
+// receives one, or does both at once, making progress on whichever
+// direction is ready: with blocking I/O, a ring where every rank sends
+// before it receives wedges once payloads exceed the kernel socket buffers.
+// A header leaves with its payload in one sendmsg, straight from the
+// caller's memory; a received header passes FrameHeader::check before any
+// payload byte is read, and the payload lands straight in its destination.
+// One deadline covers the whole call from the moment it starts. faultnet's
+// send hook and then its receive hook run once per call, for the sides it
+// has. The five helpers after it are calls into it. All return the wire
+// bytes moved (headers included, both directions) so callers can account
+// real bytes-on-wire in CommStats.
 
-/// Sends one frame. `seq` is the caller-maintained per-direction counter.
-size_t send_frame(Socket& sock, FrameType type, uint32_t seq,
-                  std::span<const uint8_t> payload, double timeout_s);
+/// Where a received payload lands: in place in `fixed`, whose size the
+/// frame's length must equal, or — when `append` is set — appended to
+/// *append, whatever its length. Implicit, so a span or a vector passes as
+/// it is.
+struct FrameDst {
+  FrameDst() = default;
+  FrameDst(std::span<uint8_t> bytes) : fixed(bytes) {}
+  FrameDst(std::span<float> floats)
+      : fixed(reinterpret_cast<uint8_t*>(floats.data()), floats.size_bytes()) {}
+  FrameDst(std::vector<uint8_t>& grow) : append(&grow) {}
+
+  std::span<uint8_t> fixed;
+  std::vector<uint8_t>* append = nullptr;
+};
+
+/// Sends `send_payload` to `to` as frame (send_type, send_seq) while
+/// receiving frame (recv_type, recv_seq) from `from` into `recv_dst`; a
+/// null socket drops that side. `seq` is the caller-maintained
+/// per-direction counter.
+size_t transfer_frames(Socket* to, FrameType send_type, uint32_t send_seq,
+                       std::span<const uint8_t> send_payload, Socket* from,
+                       FrameType recv_type, uint32_t recv_seq,
+                       FrameDst recv_dst, double timeout_s);
+
+/// Sends one frame.
+inline size_t send_frame(Socket& sock, FrameType type, uint32_t seq,
+                         std::span<const uint8_t> payload, double timeout_s) {
+  return transfer_frames(&sock, type, seq, payload, nullptr, type, 0, {},
+                         timeout_s);
+}
 inline size_t send_frame(Socket& sock, FrameType type, uint32_t seq,
                          std::span<const float> payload, double timeout_s) {
   return send_frame(sock, type, seq,
@@ -179,44 +207,51 @@ inline size_t send_frame(Socket& sock, FrameType type, uint32_t seq,
                     timeout_s);
 }
 
-/// Receives one frame whose payload length must equal `payload.size()`;
-/// validates magic, version, type, seq, length, and checksum.
-size_t recv_frame_into(Socket& sock, FrameType type, uint32_t seq,
-                       std::span<uint8_t> payload, double timeout_s);
+/// Receives one frame whose payload length must equal `payload.size()`
+/// into `payload`.
+inline size_t recv_frame_into(Socket& sock, FrameType type, uint32_t seq,
+                              std::span<uint8_t> payload, double timeout_s) {
+  return transfer_frames(nullptr, type, 0, {}, &sock, type, seq, payload,
+                         timeout_s);
+}
 inline size_t recv_frame_into(Socket& sock, FrameType type, uint32_t seq,
                               std::span<float> payload, double timeout_s) {
-  return recv_frame_into(
-      sock, type, seq,
-      std::span<uint8_t>(reinterpret_cast<uint8_t*>(payload.data()),
-                         payload.size_bytes()),
-      timeout_s);
+  return transfer_frames(nullptr, type, 0, {}, &sock, type, seq, payload,
+                         timeout_s);
 }
 
-/// Receives one frame of unknown payload length (allgatherv blocks);
-/// appends the payload to `out` and returns the wire bytes moved.
-size_t recv_frame(Socket& sock, FrameType type, uint32_t seq,
-                  std::vector<uint8_t>& out, double timeout_s);
+/// Receives one frame of unknown payload length and appends its payload
+/// to `out`.
+inline size_t recv_frame(Socket& sock, FrameType type, uint32_t seq,
+                         std::vector<uint8_t>& out, double timeout_s) {
+  return transfer_frames(nullptr, type, 0, {}, &sock, type, seq, out,
+                         timeout_s);
+}
 
-/// Full-duplex exchange: sends one frame to `to` while receiving one frame
-/// from `from`, making progress on whichever direction is ready. This is
-/// the deadlock-free primitive for cyclic ring steps — with blocking I/O a
-/// ring where every rank sends before it receives wedges once payloads
-/// exceed the kernel socket buffers. The received payload is appended to
-/// `in_out`; returns wire bytes moved (both directions).
-size_t exchange_frames(Socket& to, FrameType send_type, uint32_t send_seq,
-                       std::span<const uint8_t> send_payload, Socket& from,
-                       FrameType recv_type, uint32_t recv_seq,
-                       std::vector<uint8_t>& in_out, double timeout_s);
+/// Full duplex: sends one frame to `to` while receiving one from `from`,
+/// whose payload is appended to `in_out`.
+inline size_t exchange_frames(Socket& to, FrameType send_type,
+                              uint32_t send_seq,
+                              std::span<const uint8_t> send_payload,
+                              Socket& from, FrameType recv_type,
+                              uint32_t recv_seq, std::vector<uint8_t>& in_out,
+                              double timeout_s) {
+  return transfer_frames(&to, send_type, send_seq, send_payload, &from,
+                         recv_type, recv_seq, in_out, timeout_s);
+}
 
-/// exchange_frames with a fixed-size receive destination: the incoming
-/// payload length must equal `recv_payload.size()` and lands DIRECTLY in
-/// it — no intermediate receive buffer, no allocation, no copy-out. The
-/// zero-copy primitive for ring steps whose block sizes are known up
-/// front (every allreduce ring step, the barrier token).
-size_t exchange_frames_into(Socket& to, FrameType send_type, uint32_t send_seq,
-                            std::span<const uint8_t> send_payload, Socket& from,
-                            FrameType recv_type, uint32_t recv_seq,
-                            std::span<uint8_t> recv_payload, double timeout_s);
+/// exchange_frames with a fixed-size receive: the incoming payload length
+/// must equal `recv_payload.size()` and lands in it.
+inline size_t exchange_frames_into(Socket& to, FrameType send_type,
+                                   uint32_t send_seq,
+                                   std::span<const uint8_t> send_payload,
+                                   Socket& from, FrameType recv_type,
+                                   uint32_t recv_seq,
+                                   std::span<uint8_t> recv_payload,
+                                   double timeout_s) {
+  return transfer_frames(&to, send_type, send_seq, send_payload, &from,
+                         recv_type, recv_seq, recv_payload, timeout_s);
+}
 
 // ---- little-endian payload builders --------------------------------------
 

@@ -212,7 +212,7 @@ void KfacPreconditioner::update_factors() {
       // In-place shrink: encoded offset ≤ packed offset, always.
       comm::Codec::encode(triangle, slot.subspan(encoded_offset, enc_count),
                           prec);
-      view = exchange_slot_.subview(encoded_offset, enc_count, prec);
+      view = exchange_slot_.subview(encoded_offset, enc_count);
     }
     // Submitting per factor pipelines each view's reduction behind the
     // packing/encoding of the next one.
@@ -239,10 +239,6 @@ void KfacPreconditioner::update_factors() {
   const uint64_t packed_bytes =
       static_cast<uint64_t>(packed_elements) * sizeof(float);
   report_.factor_comm_bytes = shipped_bytes;
-  report_.factor_dense_bytes = dense_bytes;
-  report_.factor_packed_bytes = packed_bytes;
-  report_.factor_chunks = async ? 0 : fusion_.last_chunk_count();
-  report_.factor_comm_async = async;
   comm_.record_factor_volume(dense_bytes, packed_bytes,
                              report_.factor_comm_bytes);
   if (comm_span.active()) {

@@ -121,20 +121,10 @@ class KfacPreconditioner {
     /// A due factor/decomposition update was shed by
     /// skip_factor_update_once() (straggler slack).
     bool factor_step_skipped = false;
-    /// Factor-exchange reduction chain for this step (0 on skip
-    /// iterations): bytes a dense n×n FP32 allreduce would ship, bytes
-    /// after triangle packing, and bytes actually handed to the collective
-    /// after the precision codec (16-bit payloads at fp16/bf16, else equal
-    /// to packed).
-    uint64_t factor_dense_bytes = 0;
-    uint64_t factor_packed_bytes = 0;
+    /// Bytes the factor exchange handed to the collective this step, after
+    /// triangle packing and the precision codec (0 on skip iterations).
+    /// CommStats keeps the dense and packed volumes.
     uint64_t factor_comm_bytes = 0;
-    /// Collectives the fused factor allreduce was split into (0 when the
-    /// exchange ran asynchronously — the executor owns the batching).
-    size_t factor_chunks = 0;
-    /// True when the factor exchange was submitted to the AsyncExecutor
-    /// instead of running synchronously.
-    bool factor_comm_async = false;
     /// Decomposition-batch split for this step (0 on skip iterations):
     /// owned factors that ran one-at-a-time with intra-matrix kernel
     /// parallelism vs concurrently under serial kernels (see

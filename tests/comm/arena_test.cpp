@@ -281,8 +281,7 @@ std::vector<Tensor> arena_pipeline(const std::vector<Tensor>& factors,
     Codec::encode(std::span<const float>(mem.data() + p, static_cast<size_t>(c)),
                   mem.subspan(static_cast<size_t>(e), static_cast<size_t>(ec)),
                   prec);
-    fusion.add(slot.subview(static_cast<size_t>(e), static_cast<size_t>(ec),
-                            prec));
+    fusion.add(slot.subview(static_cast<size_t>(e), static_cast<size_t>(ec)));
     p += c;
     e += ec;
   }

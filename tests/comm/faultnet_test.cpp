@@ -99,6 +99,8 @@ TEST_F(FaultnetPlan, MalformedPlansThrowTyped) {
       "op=send,action=stall,arg=inf",     // non-finite stall
       "op=send,action=stall,arg=1e300",   // too long for sleep_for
       "op=send,action=stall,arg=-0.5",    // negative stall
+      "op=send,action=short_write,arg=1e3",  // a cap is a whole byte count
+      "op=send,action=short_write,arg=0.5",  // a cap is a whole byte count
   };
   for (const char* text : bad) {
     EXPECT_THROW((void)faultnet::parse_plan(text), Error) << text;
@@ -147,22 +149,39 @@ TEST_F(Faultnet, BitflipYieldsTypedChecksumErrorDeterministically) {
   EXPECT_EQ(errors[0], errors[1]);
 }
 
+/// Sends `payload` through the send side of an exchange_frames whose
+/// receive side listens on a separate live pair, so only the send can fail.
+void exchange_send(Socket& to, std::span<const float> payload) {
+  auto [from, silent_peer] = socket_pair();
+  std::vector<uint8_t> got;
+  exchange_frames(to, FrameType::kData, /*send_seq=*/0,
+                  {reinterpret_cast<const uint8_t*>(payload.data()),
+                   payload.size_bytes()},
+                  from, FrameType::kData, /*recv_seq=*/0, got, 1.0);
+}
+
 TEST_F(Faultnet, ResetOnSendIsTypedOnBothEnds) {
-  faultnet::install(faultnet::parse_plan("op=send,action=reset"));
-  auto [a, b] = socket_pair();
   const std::vector<float> payload = test_payload(256);
-  EXPECT_THROW(send_frame(a, FrameType::kData, /*seq=*/0,
-                          std::span<const float>(payload), 1.0),
-               Error);
-  EXPECT_EQ(faultnet::counts().resets, 1u);
-  // The peer's read sees the shutdown as a prompt typed error, not a hang.
-  faultnet::clear();
-  std::vector<float> got(payload.size());
-  const auto start = Clock::now();
-  EXPECT_THROW(recv_frame_into(b, FrameType::kData, /*seq=*/0,
-                               std::span<float>(got), 1.0),
-               Error);
-  EXPECT_LT(seconds_since(start), 2.0);
+  for (const bool exchange : {false, true}) {
+    faultnet::install(faultnet::parse_plan("op=send,action=reset"));
+    auto [a, b] = socket_pair();
+    if (exchange) {
+      EXPECT_THROW(exchange_send(a, payload), Error);
+    } else {
+      EXPECT_THROW(send_frame(a, FrameType::kData, /*seq=*/0,
+                              std::span<const float>(payload), 1.0),
+                   Error);
+    }
+    EXPECT_EQ(faultnet::counts().resets, 1u);
+    // The peer's read sees the shutdown as a prompt typed error, not a hang.
+    faultnet::clear();
+    std::vector<float> got(payload.size());
+    const auto start = Clock::now();
+    EXPECT_THROW(recv_frame_into(b, FrameType::kData, /*seq=*/0,
+                                 std::span<float>(got), 1.0),
+                 Error);
+    EXPECT_LT(seconds_since(start), 2.0);
+  }
 }
 
 TEST_F(Faultnet, ResetOnRecvIsTyped) {
@@ -183,27 +202,33 @@ TEST_F(Faultnet, ResetOnRecvIsTyped) {
 }
 
 TEST_F(Faultnet, ShortWriteIsTypedOnBothEnds) {
-  faultnet::install(faultnet::parse_plan("op=send,action=short_write"));
-  auto [a, b] = socket_pair();
   const std::vector<float> payload = test_payload(128);
-  try {
-    send_frame(a, FrameType::kData, /*seq=*/0, std::span<const float>(payload),
-               1.0);
-    FAIL() << "injected short write reported success";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("short write"), std::string::npos)
-        << e.what();
+  for (const bool exchange : {false, true}) {
+    faultnet::install(faultnet::parse_plan("op=send,action=short_write"));
+    auto [a, b] = socket_pair();
+    try {
+      if (exchange) {
+        exchange_send(a, payload);
+      } else {
+        send_frame(a, FrameType::kData, /*seq=*/0,
+                   std::span<const float>(payload), 1.0);
+      }
+      ADD_FAILURE() << "injected short write reported success";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("short write"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(faultnet::counts().short_writes, 1u);
+    // The receiver sees a truncated stream ending in a shutdown — a typed
+    // rejection within its deadline, never an accepted frame.
+    faultnet::clear();
+    std::vector<float> got(payload.size());
+    const auto start = Clock::now();
+    EXPECT_THROW(recv_frame_into(b, FrameType::kData, /*seq=*/0,
+                                 std::span<float>(got), 2.0),
+                 Error);
+    EXPECT_LT(seconds_since(start), 2.5);
   }
-  EXPECT_EQ(faultnet::counts().short_writes, 1u);
-  // The receiver sees a truncated stream ending in a shutdown — a typed
-  // rejection within its deadline, never an accepted frame.
-  faultnet::clear();
-  std::vector<float> got(payload.size());
-  const auto start = Clock::now();
-  EXPECT_THROW(recv_frame_into(b, FrameType::kData, /*seq=*/0,
-                               std::span<float>(got), 2.0),
-               Error);
-  EXPECT_LT(seconds_since(start), 2.5);
 }
 
 TEST_F(Faultnet, StallDelaysButNeverHangs) {

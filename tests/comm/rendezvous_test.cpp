@@ -74,7 +74,9 @@ TEST(Rendezvous, GarbageHelloDropsOnlyThatClient) {
   // Evil client 1: 30 bytes of garbage where a framed hello belongs.
   Socket garbage = Socket::connect_to("127.0.0.1", server.port(), 2.0);
   std::vector<uint8_t> noise(30, 0xAB);
-  garbage.send_all(noise.data(), noise.size(), 2.0);
+  // Raw bytes past the framing: one ::send, far below the socket buffer.
+  ASSERT_EQ(::send(garbage.fd(), noise.data(), noise.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(noise.size()));
 
   // Evil client 2: a well-formed frame of the WRONG type.
   Socket wrong_type = Socket::connect_to("127.0.0.1", server.port(), 2.0);

@@ -29,6 +29,13 @@ std::vector<float> test_payload(size_t n) {
   return v;
 }
 
+/// Puts raw bytes on the stream in one ::send, bypassing the framing — how
+/// these tests hand-craft malformed frames. Every stream here fits the
+/// socket buffer, so one call sends it all.
+void send_raw(const Socket& sock, const void* data, size_t n) {
+  EXPECT_EQ(::send(sock.fd(), data, n, MSG_NOSIGNAL), static_cast<ssize_t>(n));
+}
+
 TEST(Wire, Crc32KnownVector) {
   // The canonical IEEE CRC-32 check value.
   const char* data = "123456789";
@@ -98,8 +105,8 @@ TEST(Wire, ChecksumMismatchThrows) {
   h.checksum = 0x0BADF00Du;  // wrong on purpose
   uint8_t raw[kFrameHeaderBytes];
   h.encode(raw);
-  a.send_all(raw, kFrameHeaderBytes, 1.0);
-  a.send_all(payload.data(), payload.size() * sizeof(float), 1.0);
+  send_raw(a, raw, kFrameHeaderBytes);
+  send_raw(a, payload.data(), payload.size() * sizeof(float));
   std::vector<float> got(payload.size());
   try {
     recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(got), 1.0);
@@ -116,7 +123,7 @@ TEST(Wire, VersionMismatchThrows) {
   h.type = static_cast<uint16_t>(FrameType::kHello);
   uint8_t raw[kFrameHeaderBytes];
   h.encode(raw);
-  a.send_all(raw, kFrameHeaderBytes, 1.0);
+  send_raw(a, raw, kFrameHeaderBytes);
   std::vector<uint8_t> out;
   try {
     recv_frame(b, FrameType::kHello, /*seq=*/0, out, 1.0);
@@ -132,7 +139,7 @@ TEST(Wire, BadMagicThrows) {
   h.magic = 0x12345678;
   uint8_t raw[kFrameHeaderBytes];
   h.encode(raw);
-  a.send_all(raw, kFrameHeaderBytes, 1.0);
+  send_raw(a, raw, kFrameHeaderBytes);
   std::vector<uint8_t> out;
   EXPECT_THROW(recv_frame(b, FrameType::kHello, /*seq=*/0, out, 1.0), Error);
 }
@@ -179,6 +186,53 @@ TEST(Wire, RecvTimeoutThrowsQuickly) {
     EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos);
   }
   EXPECT_LT(seconds_since(start), 2.0);  // a timeout, not a hang
+}
+
+TEST(Wire, FrameHasOneDeadline) {
+  // The peer sends 19 header bytes, the 20th at 0.9·T, then nothing: one
+  // deadline per frame means a typed timeout at T on every receive route,
+  // not a second full T for the payload after the header lands.
+  constexpr double kT = 1.0;
+  const std::vector<float> payload = test_payload(16);
+  FrameHeader h;
+  h.type = static_cast<uint16_t>(FrameType::kData);
+  h.length = static_cast<uint32_t>(payload.size() * sizeof(float));
+  uint8_t raw[kFrameHeaderBytes];
+  h.encode(raw);
+  auto expect_timeout_by_deadline = [&](const char* route, auto&& receive) {
+    std::pair<Socket, Socket> link = socket_pair();
+    send_raw(link.first, raw, kFrameHeaderBytes - 1);
+    std::thread late([&] {
+      std::this_thread::sleep_for(std::chrono::duration<double>(0.9 * kT));
+      send_raw(link.first, raw + kFrameHeaderBytes - 1, 1);
+    });
+    const auto start = Clock::now();
+    try {
+      receive(link.second);
+      ADD_FAILURE() << route << ": a frame without its payload was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos)
+          << route << ": " << e.what();
+    }
+    EXPECT_LT(seconds_since(start), 1.3 * kT) << route;
+    late.join();
+  };
+  std::vector<float> got(payload.size());
+  expect_timeout_by_deadline("recv_frame_into", [&](Socket& from) {
+    recv_frame_into(from, FrameType::kData, /*seq=*/0, std::span<float>(got), kT);
+  });
+  // The exchange's send side goes to a separate live pair, so only its
+  // receive side can time out.
+  std::pair<Socket, Socket> live = socket_pair();
+  expect_timeout_by_deadline("exchange_frames_into", [&](Socket& from) {
+    exchange_frames_into(
+        live.first, FrameType::kData, /*send_seq=*/0,
+        {reinterpret_cast<const uint8_t*>(payload.data()),
+         payload.size() * sizeof(float)},
+        from, FrameType::kData, /*recv_seq=*/0,
+        {reinterpret_cast<uint8_t*>(got.data()), got.size() * sizeof(float)},
+        kT);
+  });
 }
 
 TEST(Wire, PeerCloseThrows) {
@@ -261,22 +315,37 @@ std::vector<uint8_t> canonical_frame(std::span<const float> payload,
 /// Writes `stream` to a fresh connection, closes the sender, and expects
 /// the frame receive to surface a typed dkfac::Error — never success, a
 /// hang, or a foreign exception (which would propagate and fail the test).
+/// Each stream goes through both receive routes: recv_frame and the
+/// receive side of exchange_frames, whose send side goes to a separate
+/// live pair so a rejection can only come from the receive.
 void expect_typed_rejection(const std::vector<uint8_t>& stream,
                             const std::string& what) {
-  auto [sender, receiver] = socket_pair();
-  if (!stream.empty()) sender.send_all(stream.data(), stream.size(), 2.0);
-  // Closing the sender turns every "waiting for more bytes" state into an
-  // immediate peer-close error instead of a timeout wait.
-  sender.close();
-  std::vector<uint8_t> out;
-  const auto start = Clock::now();
-  try {
-    recv_frame(receiver, FrameType::kData, /*seq=*/9, out, 2.0);
-    FAIL() << what << ": mutated frame was accepted";
-  } catch (const Error&) {
-    // Typed rejection — exactly what the contract demands.
+  const std::vector<float> outgoing = test_payload(3);
+  for (const bool exchange : {false, true}) {
+    auto [sender, receiver] = socket_pair();
+    auto [out, sink] = socket_pair();
+    if (!stream.empty()) send_raw(sender, stream.data(), stream.size());
+    // Closing the sender turns every "waiting for more bytes" state into an
+    // immediate peer-close error instead of a timeout wait.
+    sender.close();
+    const std::string route = what + (exchange ? " (exchange)" : " (recv)");
+    std::vector<uint8_t> got;
+    const auto start = Clock::now();
+    try {
+      if (exchange) {
+        exchange_frames(out, FrameType::kData, /*send_seq=*/0,
+                        {reinterpret_cast<const uint8_t*>(outgoing.data()),
+                         outgoing.size() * sizeof(float)},
+                        receiver, FrameType::kData, /*recv_seq=*/9, got, 2.0);
+      } else {
+        recv_frame(receiver, FrameType::kData, /*seq=*/9, got, 2.0);
+      }
+      ADD_FAILURE() << route << ": mutated frame was accepted";
+    } catch (const Error&) {
+      // Typed rejection — exactly what the contract demands.
+    }
+    EXPECT_LT(seconds_since(start), 2.5) << route << ": rejection was not prompt";
   }
-  EXPECT_LT(seconds_since(start), 2.5) << what << ": rejection was not prompt";
 }
 
 TEST(WireFuzz, TruncatedFramesAlwaysRejectTyped) {
