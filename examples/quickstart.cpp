@@ -19,6 +19,7 @@
 #include "nn/loss.hpp"
 #include "nn/resnet.hpp"
 #include "optim/sgd.hpp"
+#include "train/trainer.hpp"
 
 int main() {
   using namespace dkfac;
@@ -74,19 +75,12 @@ int main() {
       loss_sum += loss.loss;
     }
 
-    // Validation accuracy.
-    model->set_training(false);
-    int64_t correct = 0;
-    for (const data::Batch& batch :
-         data::ShardedLoader::sequential_batches(val_set, 128)) {
-      correct += static_cast<int64_t>(
-          nn::accuracy(model->forward(batch.images), batch.labels) *
-          static_cast<float>(batch.size()));
-    }
-    model->set_training(true);
+    // Validation accuracy: the trainer's evaluation, sharded across ranks.
+    const float val_acc =
+        train::evaluate(*model, val_set, comm, /*eval_batch=*/128);
     std::printf("epoch %d: train loss %.3f, val accuracy %.1f%%\n", epoch + 1,
                 loss_sum / static_cast<float>(loader.batches_per_epoch()),
-                100.0 * static_cast<double>(correct) / val_set.size());
+                100.0 * static_cast<double>(val_acc));
   }
   return 0;
 }

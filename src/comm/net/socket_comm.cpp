@@ -149,9 +149,13 @@ void SocketComm::transfer(int to, std::span<const uint8_t> out, int from,
                                          options_.timeout_s);
     stats_.wire_sent_bytes += sent;
     stats_.wire_recv_bytes += moved - sent;
+  } catch (const FrameError& e) {
+    // A full-duplex step spans two links: blame the peer of the side that
+    // failed.
+    throw PeerFailure(e.side() == FrameSide::kSend ? to : from, e.what());
   } catch (const Error& e) {
-    // A full-duplex step spans two links; blame the receive side, where a
-    // dead peer shows first.
+    // A link found down before any frame moved: blame the receive peer
+    // when there is one.
     throw PeerFailure(from != kNoPeer ? from : to, e.what());
   }
 }

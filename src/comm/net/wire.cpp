@@ -438,32 +438,44 @@ size_t transfer_frames(Socket* to, FrameType send_type, uint32_t send_seq,
     }
   };
 
-  for (;;) {
-    pump_send();
-    pump_recv();
-    const bool sending = send_pos < send_end;
-    const bool waiting = recv_pos < recv_total;
-    if (!sending && !waiting) break;
-    pollfd pfds[2];
-    nfds_t nfds = 0;
-    if (sending) pfds[nfds++] = {to->fd(), POLLOUT, 0};
-    if (waiting) pfds[nfds++] = {from->fd(), POLLIN, 0};
-    const int rc = ::poll(pfds, nfds, remaining_ms(deadline, what));
-    if (rc < 0 && errno != EINTR) throw_errno(what);
-  }
+  // The side a failure is blamed on (see FrameError), kept current as the
+  // pump moves between directions.
+  FrameSide side = FrameSide::kRecv;
+  try {
+    for (;;) {
+      side = FrameSide::kSend;
+      pump_send();
+      side = FrameSide::kRecv;
+      pump_recv();
+      const bool sending = send_pos < send_end;
+      const bool waiting = recv_pos < recv_total;
+      if (!sending && !waiting) break;
+      pollfd pfds[2];
+      nfds_t nfds = 0;
+      if (sending) pfds[nfds++] = {to->fd(), POLLOUT, 0};
+      if (waiting) pfds[nfds++] = {from->fd(), POLLIN, 0};
+      side = waiting ? FrameSide::kRecv : FrameSide::kSend;
+      const int rc = ::poll(pfds, nfds, remaining_ms(deadline, what));
+      if (rc < 0 && errno != EINTR) throw_errno(what);
+    }
 
-  if (send_end < send_total) {
-    ::shutdown(to->fd(), SHUT_RDWR);
-    throw Error(std::string(what) + ": faultnet injected short write (" +
-                std::to_string(send_end) + " of " +
-                std::to_string(send_total) + " bytes)");
-  }
-  if (receiving) {
-    const uint32_t actual = crc32({recv_payload, recv_header.length});
-    DKFAC_CHECK(actual == recv_header.checksum)
-        << what << ": frame checksum mismatch: payload corrupted in transit "
-        << "(expected 0x" << std::hex << recv_header.checksum << ", got 0x"
-        << actual << ")";
+    if (send_end < send_total) {
+      side = FrameSide::kSend;
+      ::shutdown(to->fd(), SHUT_RDWR);
+      throw Error(std::string(what) + ": faultnet injected short write (" +
+                  std::to_string(send_end) + " of " +
+                  std::to_string(send_total) + " bytes)");
+    }
+    if (receiving) {
+      side = FrameSide::kRecv;
+      const uint32_t actual = crc32({recv_payload, recv_header.length});
+      DKFAC_CHECK(actual == recv_header.checksum)
+          << what << ": frame checksum mismatch: payload corrupted in transit "
+          << "(expected 0x" << std::hex << recv_header.checksum << ", got 0x"
+          << actual << ")";
+    }
+  } catch (const Error& e) {
+    throw FrameError(side, e.what());
   }
   return send_total + recv_total;
 }

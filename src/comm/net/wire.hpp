@@ -183,10 +183,27 @@ struct FrameDst {
   std::vector<uint8_t>* append = nullptr;
 };
 
+/// The side of a transfer_frames call that failed.
+enum class FrameSide : uint8_t { kSend, kRecv };
+
+/// What transfer_frames throws when a frame fails: the send side for an
+/// error of its sendmsg loop, an injected short write, or a deadline (or
+/// poll failure) met with only the send pending; the receive side for
+/// everything else. A caller on two links can then name the right peer.
+class FrameError : public Error {
+ public:
+  FrameError(FrameSide side, const std::string& what)
+      : Error(what), side_(side) {}
+  FrameSide side() const { return side_; }
+
+ private:
+  FrameSide side_;
+};
+
 /// Sends `send_payload` to `to` as frame (send_type, send_seq) while
 /// receiving frame (recv_type, recv_seq) from `from` into `recv_dst`; a
 /// null socket drops that side. `seq` is the caller-maintained
-/// per-direction counter.
+/// per-direction counter. Throws FrameError.
 size_t transfer_frames(Socket* to, FrameType send_type, uint32_t send_seq,
                        std::span<const uint8_t> send_payload, Socket* from,
                        FrameType recv_type, uint32_t recv_seq,

@@ -47,17 +47,4 @@ Batch ShardedLoader::batch(int64_t epoch, int64_t batch_index) const {
   return dataset_.get(indices);
 }
 
-std::vector<Batch> ShardedLoader::sequential_batches(
-    const SyntheticImageDataset& dataset, int64_t batch_size) {
-  DKFAC_CHECK(batch_size >= 1);
-  std::vector<Batch> out;
-  for (int64_t start = 0; start < dataset.size(); start += batch_size) {
-    const int64_t end = std::min(start + batch_size, dataset.size());
-    std::vector<int64_t> indices(static_cast<size_t>(end - start));
-    std::iota(indices.begin(), indices.end(), start);
-    out.push_back(dataset.get(indices));
-  }
-  return out;
-}
-
 }  // namespace dkfac::data

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "data/synthetic.hpp"
 
@@ -26,10 +25,6 @@ class ShardedLoader {
   /// Pure function of (epoch, batch index) — stateless, deterministic, and
   /// identical shard layout on every rank.
   Batch batch(int64_t epoch, int64_t batch_index) const;
-
-  /// The full validation-style sequential batch (no shuffle, no shard).
-  static std::vector<Batch> sequential_batches(const SyntheticImageDataset& dataset,
-                                               int64_t batch_size);
 
  private:
   const SyntheticImageDataset& dataset_;

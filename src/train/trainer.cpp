@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 
 #include "common/error.hpp"
@@ -83,22 +84,25 @@ std::unique_ptr<AnyOptimizer> make_optimizer(const TrainConfig& config,
 float evaluate(nn::Layer& model, const data::SyntheticImageDataset& val,
                comm::Communicator& comm, int64_t eval_batch) {
   DKFAC_TRACE_SCOPE("train.eval");
+  DKFAC_CHECK(eval_batch >= 1) << "eval_batch " << eval_batch;
   model.set_training(false);
-  // Rank-strided shard of the validation set.
+  // Rank-strided shard of the validation set: blocks of eval_batch images,
+  // each forwarded kEvalMicroBatch images at a time.
   int64_t correct = 0;
   int64_t seen = 0;
   std::vector<int64_t> indices;
-  for (int64_t start = comm.rank() * eval_batch; start < val.size();
-       start += static_cast<int64_t>(comm.size()) * eval_batch) {
-    const int64_t end = std::min(start + eval_batch, val.size());
-    indices.resize(static_cast<size_t>(end - start));
-    for (int64_t i = start; i < end; ++i) {
-      indices[static_cast<size_t>(i - start)] = i;
+  for (int64_t block = comm.rank() * eval_batch; block < val.size();
+       block += static_cast<int64_t>(comm.size()) * eval_batch) {
+    const int64_t block_end = std::min(block + eval_batch, val.size());
+    for (int64_t start = block; start < block_end; start += kEvalMicroBatch) {
+      const int64_t end = std::min(start + kEvalMicroBatch, block_end);
+      indices.resize(static_cast<size_t>(end - start));
+      std::iota(indices.begin(), indices.end(), start);
+      data::Batch batch = val.get(indices);
+      Tensor logits = model.forward(batch.images);
+      correct += nn::correct_predictions(logits, batch.labels);
+      seen += batch.size();
     }
-    data::Batch batch = val.get(indices);
-    Tensor logits = model.forward(batch.images);
-    correct += nn::correct_predictions(logits, batch.labels);
-    seen += batch.size();
   }
   // Integer counts ride the float collective exactly (FP32 is lossless for
   // counts below 2^24 — far beyond any validation split here).

@@ -27,6 +27,14 @@ namespace dkfac::train {
 
 using ModelFactory = std::function<nn::LayerPtr(Rng&)>;
 
+/// Most images one evaluation forward holds (see evaluate()). A forward's
+/// working set — each conv layer's im2col patch matrix above all — grows
+/// with its batch. 32 images keep evaluation at or below the working set
+/// of a training step at perfbench's local batch, so training, not
+/// evaluation, sets a run's peak memory: smaller micro-batches would
+/// lower neither that peak nor, measurably, the time.
+inline constexpr int64_t kEvalMicroBatch = 32;
+
 /// Inner optimizer the (optional) K-FAC preconditioner runs in front of —
 /// the paper's §IV composability: "K-FAC can be used in-place with any
 /// standard optimizer, such as Adam, LARS, or SGD".
@@ -70,6 +78,10 @@ struct TrainConfig {
 
   uint64_t model_seed = 42;
   uint64_t data_seed = 7;
+  /// Size of the rank-strided blocks that shard the validation set: rank r
+  /// evaluates blocks r, r + p, r + 2p, ... of `eval_batch` images each.
+  /// It sets which replica scores which image, not the forward size: each
+  /// block is forwarded in micro-batches of kEvalMicroBatch (evaluate()).
   int64_t eval_batch = 256;
 
   /// Per-step metrics as JSONL (one obs::StepMetricsLogger record per
@@ -193,8 +205,16 @@ int omp_threads_per_rank(int world_size);
 
 /// Evaluates top-1 accuracy of `model` over the validation split, sharded
 /// across ranks and allreduced (every rank returns the global number).
-/// Counts correct predictions directly (argmax == label) and reduces
-/// integer counts, so the result carries no per-batch rounding drift.
+/// Rank r scores the rank-strided blocks of `eval_batch` images that
+/// TrainConfig::eval_batch describes, on its own replica (BatchNorm running
+/// statistics differ across replicas), and forwards each block in
+/// micro-batches of at most kEvalMicroBatch images. The split cannot change
+/// a bit: in eval mode every output of a sample depends on that sample
+/// alone — each conv or linear output element is one FMA chain over k
+/// whose order does not depend on the batch's size, and BatchNorm (running
+/// statistics), ReLU and pooling work per element or per image. Counts
+/// correct predictions directly (argmax == label) and reduces integer
+/// counts, so the result carries no per-batch rounding drift.
 float evaluate(nn::Layer& model, const data::SyntheticImageDataset& val,
                comm::Communicator& comm, int64_t eval_batch);
 

@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <thread>
 #include <vector>
 
+#include "comm/net/faultnet.hpp"
 #include "comm/net/launch.hpp"
 #include "comm/net/rendezvous.hpp"
 #include "comm/thread_comm.hpp"
@@ -307,6 +309,34 @@ TEST(SocketComm, PeerDeathProducesCleanErrorNotHang) {
       fast_launch());
   EXPECT_EQ(status, 0);
   EXPECT_LT(seconds_since(start), 20.0);
+}
+
+TEST(SocketComm, FailedSendBlamesItsSendPeer) {
+  // On 3 ranks a ring-circulation step has rank 1 send to rank 2 while it
+  // receives from rank 0. Cutting rank 1's frame short fails the send side,
+  // so rank 1's PeerFailure must name rank 2, not its receive peer.
+  const int status = run_ranks(
+      3,
+      [](Communicator& comm) {
+        if (comm.rank() == 1) {
+          faultnet::install(
+              faultnet::parse_plan("op=send,action=short_write,arg=8"));
+        }
+        std::vector<float> data(64, 1.0f);
+        try {
+          comm.allreduce(data, ReduceOp::kSum);
+        } catch (const PeerFailure& e) {
+          // Ranks 0 and 2 fail on the broken ring too; only rank 1's
+          // blame is pinned.
+          if (comm.rank() != 1) return 0;
+          if (e.rank() == 2) return 0;
+          std::fprintf(stderr, "rank 1 blamed: %s\n", e.what());
+          return 10 + e.rank();
+        }
+        return comm.rank() == 1 ? 7 : 0;  // a cut frame went unnoticed
+      },
+      fast_launch());
+  EXPECT_EQ(status, 0);
 }
 
 TEST(SocketComm, ChildExitCodePropagates) {

@@ -83,16 +83,5 @@ TEST(Loader, InvalidArgsThrow) {
   EXPECT_THROW(loader.batch(0, loader.batches_per_epoch()), Error);
 }
 
-TEST(Loader, SequentialBatchesCoverDataset) {
-  SyntheticImageDataset ds(small_spec(), Split::kVal);
-  auto batches = ShardedLoader::sequential_batches(ds, 16);
-  ASSERT_EQ(batches.size(), 3u);  // 40 = 16 + 16 + 8
-  EXPECT_EQ(batches[0].size(), 16);
-  EXPECT_EQ(batches[2].size(), 8);
-  int64_t total = 0;
-  for (const Batch& b : batches) total += b.size();
-  EXPECT_EQ(total, ds.size());
-}
-
 }  // namespace
 }  // namespace dkfac::data

@@ -1,6 +1,11 @@
 #include "nn/resnet.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
+
+#include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
 #include "grad_check.hpp"
@@ -161,6 +166,68 @@ TEST(ResNet, DeterministicConstruction) {
   for (size_t i = 0; i < pa.size(); ++i) {
     EXPECT_TRUE(pa[i]->value == pb[i]->value) << pa[i]->name;
   }
+}
+
+/// Images [start, start + count) of an NCHW batch, copied.
+Tensor images(const Tensor& x, int64_t start, int64_t count) {
+  const int64_t per_image = x.numel() / x.dim(0);
+  Tensor out(Shape{count, x.dim(1), x.dim(2), x.dim(3)});
+  std::memcpy(out.data(), x.data() + start * per_image,
+              static_cast<size_t>(count * per_image) * sizeof(float));
+  return out;
+}
+
+TEST(EvalForward, BitwiseInvariantToBatchSplit) {
+  // In eval mode each output of a sample depends on that sample alone: a
+  // conv or linear output element is one FMA chain over k whose order does
+  // not depend on the batch's size, and BatchNorm (running statistics),
+  // ReLU and pooling work per element or per image. So the logits of 256
+  // images forwarded at once equal, bit for bit, those of any split — what
+  // lets train::evaluate forward its shard in micro-batches.
+  const int original_threads = omp_get_max_threads();
+  Rng rng(83);
+  std::vector<LayerPtr> nets;
+  nets.push_back(resnet_cifar(8, 10, rng, 8));
+  nets.push_back(simple_cnn(3, 10, rng, 8));
+  const int64_t total = 256;
+  const Tensor x = Tensor::randn(Shape{total, 3, 16, 16}, rng);
+  for (LayerPtr& net : nets) {
+    // A few SGD steps move the BatchNorm running statistics off their
+    // initial (0, 1).
+    for (int step = 0; step < 3; ++step) {
+      const Tensor batch = Tensor::randn(Shape{16, 3, 16, 16}, rng);
+      std::vector<int64_t> labels(16);
+      for (int64_t& label : labels) {
+        label = static_cast<int64_t>(rng.uniform_int(10));
+      }
+      const LossResult loss = softmax_cross_entropy(net->forward(batch), labels);
+      net->zero_grad();
+      net->backward(loss.grad);
+      for (Parameter* p : net->parameters()) p->value.axpy_(-0.05f, p->grad);
+    }
+    net->set_training(false);
+    for (const int threads : {1, 3}) {
+      omp_set_num_threads(threads);
+      const Tensor whole = net->forward(x);
+      const int64_t classes = whole.dim(1);
+      for (const int64_t split : {1, 7, 32, 100}) {
+        Tensor joined(whole.shape());
+        for (int64_t start = 0; start < total; start += split) {
+          const int64_t count = std::min(split, total - start);
+          const Tensor part = net->forward(images(x, start, count));
+          std::memcpy(joined.data() + start * classes, part.data(),
+                      static_cast<size_t>(part.numel()) * sizeof(float));
+        }
+        EXPECT_EQ(std::memcmp(joined.data(), whole.data(),
+                              static_cast<size_t>(whole.numel()) *
+                                  sizeof(float)),
+                  0)
+            << net->name() << ": splits of " << split << " at " << threads
+            << " threads differ from one forward";
+      }
+    }
+  }
+  omp_set_num_threads(original_threads);
 }
 
 }  // namespace

@@ -1,9 +1,16 @@
 #include "train/trainer.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "comm/codec.hpp"
+#include "comm/thread_comm.hpp"
 #include "common/error.hpp"
+#include "nn/loss.hpp"
 #include "nn/resnet.hpp"
 
 namespace dkfac::train {
@@ -288,6 +295,132 @@ TEST(Trainer, OverlapCommSingleRankRuns) {
   TrainResult result = train_single(tiny_cnn_factory(), tiny_spec(), config);
   EXPECT_EQ(result.epochs.size(), 2u);
   EXPECT_GT(result.final_val_accuracy, 0.25f);
+}
+
+/// Wraps a model and records every batch it forwards: its size and its
+/// images, in order.
+class ForwardProbe final : public nn::Layer {
+ public:
+  explicit ForwardProbe(nn::LayerPtr inner) : inner_(std::move(inner)) {}
+
+  Tensor forward(const Tensor& x) override {
+    batch_sizes.push_back(x.dim(0));
+    images.insert(images.end(), x.data(), x.data() + x.numel());
+    return inner_->forward(x);
+  }
+  std::vector<nn::Layer*> children() override { return {inner_.get()}; }
+  std::string name() const override { return "probe"; }
+  nn::Layer& inner() { return *inner_; }
+
+  std::vector<int64_t> batch_sizes;
+  std::vector<float> images;
+
+ protected:
+  Tensor backward_impl(const Tensor& grad) override {
+    return inner_->backward(grad);
+  }
+
+ private:
+  nn::LayerPtr inner_;
+};
+
+/// Rank `rank`'s rank-strided shard of a `val_size` split: blocks rank,
+/// rank + world, ... of `eval_batch` images each.
+std::vector<int64_t> shard_of(int rank, int world, int64_t val_size,
+                              int64_t eval_batch) {
+  std::vector<int64_t> shard;
+  for (int64_t block = rank * eval_batch; block < val_size;
+       block += world * eval_batch) {
+    for (int64_t i = block; i < std::min(block + eval_batch, val_size); ++i) {
+      shard.push_back(i);
+    }
+  }
+  return shard;
+}
+
+TEST(Evaluate, MicroBatchesItsOwnShard) {
+  // evaluate() forwards each rank's rank-strided shard, in order, in
+  // micro-batches of at most kEvalMicroBatch images, on that rank's own
+  // replica. The replicas share trained weights, but their BatchNorm
+  // running statistics differ, as they do after training. So the accuracy
+  // must equal a reference that forwards each rank's whole shard at once
+  // on its replica: scoring an image on another replica changes it. The
+  // probe pins which images each rank forwards.
+  std::vector<Tensor> weights;
+  TrainConfig pretrain = tiny_config(2);
+  pretrain.on_trained_model = [&](nn::Layer& trained) {
+    for (nn::Parameter* p : trained.parameters()) weights.push_back(p->value);
+  };
+  train_single(tiny_cnn_factory(), tiny_spec(), pretrain);
+
+  for (const int world : {1, 2, 4}) {
+    for (const auto& [val_size, eval_batch] :
+         {std::pair<int64_t, int64_t>{512, 256}, {300, 64}}) {
+      SCOPED_TRACE(::testing::Message() << world << " ranks, val_size "
+                                        << val_size << ", eval_batch "
+                                        << eval_batch);
+      data::SyntheticSpec spec = tiny_spec();
+      spec.val_size = val_size;
+      const data::SyntheticImageDataset val(
+          spec, data::SyntheticImageDataset::Split::kVal);
+      std::vector<float> accuracy(static_cast<size_t>(world));
+      std::vector<int64_t> reference_correct(static_cast<size_t>(world));
+      std::vector<std::vector<int64_t>> batch_sizes(static_cast<size_t>(world));
+      std::vector<std::vector<float>> images(static_cast<size_t>(world));
+      comm::LocalGroup group(world);
+      group.run([&](int rank, comm::Communicator& comm) {
+        omp_set_num_threads(omp_threads_per_rank(world));  // as the trainer
+        const auto r = static_cast<size_t>(rank);
+        Rng init(5);
+        ForwardProbe model(tiny_cnn_factory()(init));
+        const std::vector<nn::Parameter*> params = model.parameters();
+        for (size_t i = 0; i < params.size(); ++i) {
+          params[i]->value = weights[i];
+        }
+        // Training-mode forwards of rank-specific data move this replica's
+        // BatchNorm running statistics away from the others'.
+        Rng data_rng(100 + static_cast<uint64_t>(rank));
+        const auto shift = static_cast<float>(2 * rank);
+        for (int i = 0; i < 10; ++i) {
+          model.inner().forward(Tensor::randn(Shape{8, 3, 8, 8}, data_rng,
+                                              shift, 1.0f + shift));
+        }
+        accuracy[r] = evaluate(model, val, comm, eval_batch);
+        batch_sizes[r] = model.batch_sizes;
+        images[r] = model.images;
+
+        const std::vector<int64_t> shard =
+            shard_of(rank, world, val_size, eval_batch);
+        if (shard.empty()) return;
+        const data::Batch batch = val.get(shard);
+        model.inner().set_training(false);
+        reference_correct[r] = nn::correct_predictions(
+            model.inner().forward(batch.images), batch.labels);
+      });
+
+      int64_t correct = 0;
+      for (const int64_t c : reference_correct) correct += c;
+      const float reference =
+          static_cast<float>(correct) / static_cast<float>(val_size);
+      for (int rank = 0; rank < world; ++rank) {
+        const auto r = static_cast<size_t>(rank);
+        EXPECT_EQ(accuracy[r], reference) << "rank " << rank;
+        for (const int64_t n : batch_sizes[r]) {
+          EXPECT_LE(n, kEvalMicroBatch) << "rank " << rank;
+        }
+        const std::vector<int64_t> shard =
+            shard_of(rank, world, val_size, eval_batch);
+        std::vector<float> want;
+        if (!shard.empty()) {
+          const Tensor x = val.get(shard).images;
+          want.assign(x.data(), x.data() + x.numel());
+        }
+        EXPECT_EQ(images[r], want)
+            << "rank " << rank << " forwarded other images than its shard's "
+            << shard.size();
+      }
+    }
+  }
 }
 
 }  // namespace
