@@ -4,22 +4,45 @@
 // real ResNet architectures, and recommends an update interval.
 //
 //   usage: scaling_study [depth] [gpus]   (defaults: 50 256)
+//
+// Rows double from 16 GPUs up to `gpus`. A malformed or out-of-range
+// argument exits 2 naming it.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
+#include "common/error.hpp"
+#include "common/parse.hpp"
 #include "sim/perf_model.hpp"
 
 int main(int argc, char** argv) {
   using namespace dkfac;
   using kfac::DistributionStrategy;
 
-  const int depth = argc > 1 ? std::atoi(argv[1]) : 50;
-  const int max_gpus = argc > 2 ? std::atoi(argv[2]) : 256;
+  int depth = 50;
+  int max_gpus = 256;
+  sim::ArchInfo arch;
+  const char* arg = "arguments";
+  try {
+    DKFAC_CHECK(argc <= 3) << "unexpected '" << argv[3] << "'";
+    arg = "depth";
+    if (argc > 1) depth = parse_number<int>(argv[1], "value");
+    arch = sim::resnet_imagenet_arch(depth);
+    arg = "gpus";
+    if (argc > 2) max_gpus = parse_number<int>(argv[2], "value");
+    // Past 32000 GPUs the paper's update interval, 32000 / gpus iterations,
+    // is 0, which the model rejects.
+    DKFAC_CHECK(max_gpus >= 16 &&
+                sim::ClusterSim::update_interval_for_scale(max_gpus) >= 1)
+        << max_gpus << " is outside [16, 32000]";
+  } catch (const Error& e) {
+    std::fprintf(stderr, "scaling_study: bad %s: %s\n"
+                 "usage: scaling_study [depth] [gpus]\n", arg, e.what());
+    return 2;
+  }
   constexpr int64_t kSamples = 1'281'167;
 
-  sim::ClusterSim cluster(sim::resnet_imagenet_arch(depth));
+  sim::ClusterSim cluster(arch);
   std::printf("scaling study: ResNet-%d (%lld params, %zu K-FAC layers), "
               "ImageNet-1k, batch 32/GPU\n\n",
               depth, static_cast<long long>(cluster.arch().total_params()),

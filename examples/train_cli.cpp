@@ -52,6 +52,7 @@
 #include "comm/net/launch.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/parse.hpp"
 #include "nn/resnet.hpp"
 #include "nn/sequential.hpp"
 #include "nn/serialize.hpp"
@@ -103,6 +104,19 @@ struct CliOptions {
   std::exit(2);
 }
 
+/// Runs `check`: a strict number parse, or a library check on what `flag`
+/// set. A dkfac::Error exits 2 naming the flag, as an unknown flag does,
+/// before any training.
+template <typename Check>
+auto check_flag(const std::string& flag, Check check) {
+  try {
+    return check();
+  } catch (const dkfac::Error& e) {
+    std::fprintf(stderr, "train_cli: bad %s: %s\n", flag.c_str(), e.what());
+    std::exit(2);
+  }
+}
+
 CliOptions parse(int argc, char** argv) {
   CliOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -111,28 +125,38 @@ CliOptions parse(int argc, char** argv) {
       if (i + 1 >= argc) usage_and_exit();
       return argv[++i];
     };
+    auto whole = [&] {
+      const char* value = next();
+      return check_flag(
+          arg, [&] { return dkfac::parse_number<int>(value, "value"); });
+    };
+    auto real = [&] {
+      const char* value = next();
+      return check_flag(
+          arg, [&] { return dkfac::parse_real<float>(value, "value"); });
+    };
     if (arg == "--model") opts.model = next();
     else if (arg == "--optimizer") opts.optimizer = next();
     else if (arg == "--strategy") opts.strategy = next();
     else if (arg == "--backend") opts.backend = next();
     else if (arg == "--kfac") opts.use_kfac = true;
-    else if (arg == "--workers" || arg == "--ranks") opts.workers = std::atoi(next());
-    else if (arg == "--epochs") opts.epochs = std::atoi(next());
-    else if (arg == "--batch") opts.batch = std::atoll(next());
-    else if (arg == "--lr") opts.lr = std::atof(next());
-    else if (arg == "--update-freq") opts.update_freq = std::atoi(next());
-    else if (arg == "--rank-fraction") opts.rank_fraction = std::atof(next());
+    else if (arg == "--workers" || arg == "--ranks") opts.workers = whole();
+    else if (arg == "--epochs") opts.epochs = whole();
+    else if (arg == "--batch") opts.batch = whole();
+    else if (arg == "--lr") opts.lr = real();
+    else if (arg == "--update-freq") opts.update_freq = whole();
+    else if (arg == "--rank-fraction") opts.rank_fraction = real();
     else if (arg == "--overlap") opts.overlap = true;
     else if (arg == "--factor-precision") opts.factor_precision = next();
     else if (arg == "--save") opts.save_path = next();
     else if (arg == "--trace") opts.trace_path = next();
     else if (arg == "--metrics") opts.metrics_path = next();
     else if (arg == "--elastic") opts.elastic_checkpoint = next();
-    else if (arg == "--min-ranks") opts.min_ranks = std::atoi(next());
-    else if (arg == "--max-ranks") opts.max_ranks = std::atoi(next());
-    else if (arg == "--respawns") opts.respawns = std::atoi(next());
+    else if (arg == "--min-ranks") opts.min_ranks = whole();
+    else if (arg == "--max-ranks") opts.max_ranks = whole();
+    else if (arg == "--respawns") opts.respawns = whole();
     else if (arg == "--fault-plan") opts.fault_plan = next();
-    else if (arg == "--straggler-slack") opts.straggler_slack = std::atof(next());
+    else if (arg == "--straggler-slack") opts.straggler_slack = real();
     else if (arg == "--log-level") opts.log_level = next();
     else usage_and_exit();
   }
@@ -197,6 +221,7 @@ int main(int argc, char** argv) {
                .warmup_start_factor = 0.25f,
                .decay_epochs = {0.6f * cli.epochs, 0.85f * cli.epochs},
                .decay_factor = 0.1f};
+  check_flag("--lr/--epochs", [&] { (void)optim::LrSchedule(config.lr); });
   config.momentum = 0.9f;
   config.weight_decay = 5e-4f;
   if (cli.optimizer == "sgd") config.optimizer = train::OptimizerKind::kSgd;
@@ -210,15 +235,13 @@ int main(int argc, char** argv) {
   config.straggler_slack_s = cli.straggler_slack;
   if (cli.use_kfac) {
     config.kfac.damping = 0.003f;
-    config.kfac.with_update_freq(cli.update_freq);
+    check_flag("--update-freq",
+               [&] { config.kfac.with_update_freq(cli.update_freq).validate(); });
     config.kfac.eigen_rank_fraction = cli.rank_fraction;
-    // Bad values route to usage like every other enum flag, instead of an
-    // uncaught parse_precision Error aborting before the try block below.
-    if (cli.factor_precision != "fp32" && cli.factor_precision != "fp16" &&
-        cli.factor_precision != "bf16") {
-      usage_and_exit();
-    }
-    config.kfac.factor_precision = comm::parse_precision(cli.factor_precision);
+    check_flag("--rank-fraction", [&] { config.kfac.validate(); });
+    config.kfac.factor_precision = check_flag(
+        "--factor-precision",
+        [&] { return comm::parse_precision(cli.factor_precision); });
     if (cli.strategy == "lw") {
       config.kfac.strategy = kfac::DistributionStrategy::kLayerWise;
     } else if (cli.strategy == "opt") {

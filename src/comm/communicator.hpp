@@ -196,19 +196,20 @@ class Communicator {
   /// Scaling trade-off: encode-once forbids re-quantising partial sums,
   /// so the transport is an allgather of contributions — O((p−1)·n/2)
   /// wire bytes per rank versus a bandwidth-optimal ring allreduce's
-  /// ~2·n·(p−1)/p of the fp32 payload. Against SocketComm's rank-order-
-  /// preserving algorithms the encoded path ships half the bytes of the
-  /// circulating allreduce at every p and beats the pipelined ring up to
-  /// p ≈ 4; beyond that the gather term dominates and fp32 can be
-  /// cheaper on the wire. Compression is aimed at the small-world /
-  /// latency-bound factor exchanges the paper targets, not at large p.
+  /// ~2·n·(p−1)/p of the fp32 payload. SocketComm's rank-order-preserving
+  /// allreduce circulates every contribution too, so the encoded path
+  /// ships half its bytes at every p. Against the bandwidth-optimal ring
+  /// it ships fewer bytes below p = 4, as many at p = 4, and more beyond,
+  /// where the gather term dominates. Compression is aimed at the small-
+  /// world / latency-bound factor exchanges the paper targets, not at
+  /// large p.
   void allreduce_encoded(std::span<float> data, Precision precision,
                          ReduceOp op);
 
   /// The α–β model of this backend's fabric. Everything tuned above the
   /// collectives — AsyncExecutor's eager threshold, fusion-buffer
-  /// capacities, SocketComm's per-size algorithm choice — derives from
-  /// this instead of hard-coding numbers for one backend.
+  /// capacities — derives from this instead of hard-coding numbers for one
+  /// backend.
   virtual const CostModel& cost_model() const {
     static const CostModel kDefault{};
     return kDefault;

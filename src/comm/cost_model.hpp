@@ -8,13 +8,12 @@
 //   T = 2(p-1)·α + 2·(p-1)/p · n/β
 //
 // with per-hop latency α and link bandwidth β. Ring allgather moves
-// (p-1)/p of the aggregate payload; broadcast is modelled as a binomial
-// tree. Defaults approximate EDR InfiniBand (100 Gb/s) with NCCL-like
-// launch overheads, the fabric of the paper's Frontera GPU subsystem.
+// (p-1)/p of the aggregate payload. Defaults approximate EDR InfiniBand
+// (100 Gb/s) with NCCL-like launch overheads, the fabric of the paper's
+// Frontera GPU subsystem.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 #include "common/error.hpp"
@@ -29,9 +28,9 @@ struct CostModel {
 
   // ---- backend presets ----------------------------------------------------
   // Each Communicator backend reports the preset matching its fabric via
-  // cost_model(); consumers (AsyncExecutor thresholds, fusion capacities,
-  // SocketComm's algorithm choice) derive their tuning from it instead of
-  // hard-coding numbers for one backend.
+  // cost_model(); consumers (AsyncExecutor thresholds, fusion capacities)
+  // derive their tuning from it instead of hard-coding numbers for one
+  // backend.
 
   /// ThreadComm: a collective is a barrier + memcpy. α is a condition-
   /// variable wake, β a memory-bandwidth share.
@@ -95,52 +94,6 @@ struct CostModel {
         static_cast<double>(ranks) * latency_s * effective_bandwidth();
     if (bytes >= static_cast<double>(kMaxBytes)) return kMaxBytes;
     return std::max(kMinBytes, static_cast<uint64_t>(bytes));
-  }
-
-  /// Chunk count that minimises a pipelined chain reduce/broadcast of
-  /// `bytes` over `ranks`: T(K) = (K + p - 2)(α + (n/K)/β) is minimal at
-  /// K* = sqrt((p-2)·n / (α·β_eff)). Clamped so chunks stay ≥ 4 KB (frame
-  /// overhead) and K ≤ 256 (bounded header traffic).
-  int pipeline_chunk_count(uint64_t bytes, int ranks) const {
-    DKFAC_CHECK(ranks >= 1);
-    if (ranks <= 2 || bytes == 0) return 1;
-    const double ideal = std::sqrt(static_cast<double>(ranks - 2) *
-                                   static_cast<double>(bytes) /
-                                   (latency_s * effective_bandwidth()));
-    const auto by_size = static_cast<int64_t>(bytes / (4ull << 10));
-    const int64_t k = std::clamp<int64_t>(static_cast<int64_t>(ideal), 1,
-                                          std::max<int64_t>(1, by_size));
-    return static_cast<int>(std::min<int64_t>(k, 256));
-  }
-
-  /// Pipelined chain reduce + chain broadcast of `bytes` across `ranks`
-  /// (the rank-order-preserving allreduce SocketComm uses for large
-  /// payloads; see socket_comm.hpp).
-  double pipelined_allreduce_time(uint64_t bytes, int ranks) const {
-    DKFAC_CHECK(ranks >= 1);
-    if (ranks == 1 || bytes == 0) return 0.0;
-    const double k = pipeline_chunk_count(bytes, ranks);
-    const double hop = latency_s + static_cast<double>(bytes) / k / effective_bandwidth();
-    return 2.0 * (k + ranks - 2.0) * hop;
-  }
-
-  /// Ring circulation of every rank's full `bytes` payload + local fold
-  /// (SocketComm's latency-optimal small-message allreduce): p-1 steps,
-  /// each moving the full payload per link.
-  double circulating_allreduce_time(uint64_t bytes, int ranks) const {
-    DKFAC_CHECK(ranks >= 1);
-    if (ranks == 1 || bytes == 0) return 0.0;
-    const double p = ranks;
-    return (p - 1.0) * (latency_s + static_cast<double>(bytes) / effective_bandwidth());
-  }
-
-  /// Binomial-tree broadcast of `bytes` from one root.
-  double broadcast_time(uint64_t bytes, int ranks) const {
-    DKFAC_CHECK(ranks >= 1);
-    if (ranks == 1 || bytes == 0) return 0.0;
-    double hops = 0.0;
-    for (int p = 1; p < ranks; p *= 2) hops += 1.0;
-    return hops * (latency_s + static_cast<double>(bytes) / effective_bandwidth());
   }
 };
 

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <limits>
@@ -16,6 +15,7 @@
 #include "comm/net/wire.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/parse.hpp"
 #include "obs/trace.hpp"
 
 namespace dkfac::comm::net::faultnet {
@@ -142,41 +142,10 @@ std::string trim(const std::string& s) {
   return s.substr(a, z - a + 1);
 }
 
-/// A field's decimal value: digits only (no sign, no blank) and no larger
-/// than the field's type holds.
-template <typename T>
-T parse_number(const std::string& value, const std::string& field) {
-  constexpr auto kMax = static_cast<uint64_t>(std::numeric_limits<T>::max());
-  uint64_t v = 0;
-  const char* end = value.data() + value.size();
-  const auto [stop, err] = std::from_chars(value.data(), end, v);
-  if (err != std::errc() || stop != end || v > kMax) {
-    throw Error("faultnet: fault plan field '" + field + "=" + value +
-                "' is not a whole number in [0, " + std::to_string(kMax) +
-                "]");
-  }
-  return static_cast<T>(v);
-}
-
 /// Longest stall: sleep_for converts its argument to an integer count of
 /// the clock's nanoseconds, which holds about 292 years.
 constexpr double kMaxStallSeconds =
     std::chrono::duration<double>(std::chrono::nanoseconds::max()).count();
-
-/// arg=X for any action but short_write: a finite, non-negative number of
-/// stall seconds below kMaxStallSeconds.
-double parse_arg(const std::string& value) {
-  double v = 0.0;
-  const char* end = value.data() + value.size();
-  const auto [stop, err] = std::from_chars(value.data(), end, v);
-  if (err != std::errc() || stop != end || !(v >= 0.0) ||
-      !(v < kMaxStallSeconds)) {
-    throw Error("faultnet: bad arg '" + value +
-                "' in fault plan: want a number in [0, " +
-                std::to_string(kMaxStallSeconds) + ")");
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -197,11 +166,12 @@ Plan parse_plan(const std::string& text) {
           << "faultnet: fault plan field '" << field << "' is not key=value";
       const std::string key = field.substr(0, eq);
       const std::string value = field.substr(eq + 1);
+      const std::string what = "faultnet: fault plan " + key;
       if (key == "seed") {
-        plan.seed = parse_number<uint64_t>(value, key);
+        plan.seed = parse_number<uint64_t>(value, what);
         seed_only = true;
       } else if (key == "rank") {
-        rule.rank = parse_number<int>(value, key);
+        rule.rank = parse_number<int>(value, what);
       } else if (key == "op") {
         has_op = true;
         if (value == "connect") rule.op = Op::kConnect;
@@ -217,14 +187,14 @@ Plan parse_plan(const std::string& text) {
         else if (value == "apply") rule.phase = Phase::kApply;
         else throw Error("faultnet: unknown phase '" + value + "' in fault plan");
       } else if (key == "epoch") {
-        rule.epoch = parse_number<int>(value, key);
+        rule.epoch = parse_number<int>(value, what);
       } else if (key == "step") {
-        rule.step = parse_number<int64_t>(value, key);
+        rule.step = parse_number<int64_t>(value, what);
       } else if (key == "nth") {
-        rule.nth = parse_number<uint64_t>(value, key);
+        rule.nth = parse_number<uint64_t>(value, what);
         DKFAC_CHECK(rule.nth >= 1) << "faultnet: nth is 1-based";
       } else if (key == "times") {
-        rule.times = parse_number<uint64_t>(value, key);
+        rule.times = parse_number<uint64_t>(value, what);
         DKFAC_CHECK(rule.times >= 1) << "faultnet: times must be >= 1";
       } else if (key == "action") {
         has_action = true;
@@ -242,9 +212,10 @@ Plan parse_plan(const std::string& text) {
       }
     }
     if (arg && rule.action == Action::kShortWrite) {
-      rule.write_cap = parse_number<uint64_t>(*arg, "arg");
+      rule.write_cap = parse_number<uint64_t>(*arg, "faultnet: fault plan arg");
     } else if (arg) {
-      rule.stall_s = parse_arg(*arg);
+      rule.stall_s = parse_real(*arg, "faultnet: fault plan arg", 0.0,
+                                kMaxStallSeconds);
     }
     if (seed_only && !has_action && !has_op && rule.phase == Phase::kNone) {
       continue;  // a bare "seed=N" rule only configures the plan RNG

@@ -17,21 +17,6 @@ inline std::span<const uint8_t> bytes_of(std::span<const float> s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size_bytes()};
 }
 
-/// Chunk boundaries for the pipelined ring: a pure function of (n, K), so
-/// every rank cuts identical chunks. The first n % K chunks get one extra
-/// element.
-std::vector<size_t> chunk_offsets(size_t n, int chunks) {
-  std::vector<size_t> offsets(static_cast<size_t>(chunks) + 1, 0);
-  const size_t base = n / static_cast<size_t>(chunks);
-  const size_t rem = n % static_cast<size_t>(chunks);
-  for (int k = 0; k < chunks; ++k) {
-    offsets[static_cast<size_t>(k) + 1] =
-        offsets[static_cast<size_t>(k)] + base +
-        (static_cast<size_t>(k) < rem ? 1 : 0);
-  }
-  return offsets;
-}
-
 }  // namespace
 
 SocketComm::SocketComm(const SocketOptions& options) : options_(options) {
@@ -160,43 +145,15 @@ void SocketComm::transfer(int to, std::span<const uint8_t> out, int from,
   }
 }
 
-SocketComm::AllreduceAlgo SocketComm::allreduce_algorithm(uint64_t bytes) const {
-  // Both algorithms produce the identical rank-order fold, so this choice
-  // is pure performance: circulation pays (p-1)·n bandwidth at one round
-  // of latency, the pipelined ring ~2·n bandwidth at two chain traversals.
-  const double circ = options_.cost.circulating_allreduce_time(bytes, size_);
-  const double pipe = options_.cost.pipelined_allreduce_time(bytes, size_);
-  return circ <= pipe ? AllreduceAlgo::kRingCirculation
-                      : AllreduceAlgo::kPipelinedRing;
-}
-
 void SocketComm::allreduce(std::span<float> data, ReduceOp op) {
   stats_.allreduce_calls++;
   stats_.allreduce_bytes += data.size_bytes();
   // Zero-length reductions carry no payload and (unlike ThreadComm, where
   // every collective doubles as a barrier) need no synchronisation.
   if (size_ == 1 || data.empty()) return;
-  const bool circulation =
-      allreduce_algorithm(data.size_bytes()) == AllreduceAlgo::kRingCirculation;
-  // The span is named after the algorithm the cost model picked, so the
-  // timeline shows the choice per call, not just the op.
-  DKFAC_TRACE_SCOPE_ID(
-      span, circulation ? DKFAC_TRACE_INTERN("socket.allreduce.ring")
-                        : DKFAC_TRACE_INTERN("socket.allreduce.pipelined_ring"));
+  DKFAC_TRACE_SCOPE_NAMED(span, "socket.allreduce.ring");
   const uint64_t wire_before = stats_.wire_sent_bytes + stats_.wire_recv_bytes;
-  if (circulation) {
-    ring_circulation_allreduce(data, op);
-  } else {
-    pipelined_ring_allreduce(data, op);
-  }
-  if (span.active()) {
-    span.set_arg("bytes", data.size_bytes());
-    span.set_arg("wire_bytes", stats_.wire_sent_bytes +
-                                   stats_.wire_recv_bytes - wire_before);
-  }
-}
 
-void SocketComm::ring_circulation_allreduce(std::span<float> data, ReduceOp op) {
   // Every rank's contribution circulates the ring (p-1 full-duplex steps),
   // then each rank folds all p blocks locally in rank order — exactly
   // ThreadComm's reduction, so the result is bitwise identical to the
@@ -233,62 +190,10 @@ void SocketComm::ring_circulation_allreduce(std::span<float> data, ReduceOp op) 
         op);
   }
   finish_reduce(data, op, p);
-}
-
-void SocketComm::pipelined_ring_allreduce(std::span<float> data, ReduceOp op) {
-  // Reduce phase: chunks stream down the chain 0 → 1 → ... → p-1, each
-  // rank folding its contribution onto the incoming partial — the fold
-  // stays anchored at rank 0, preserving ThreadComm's rank order (a
-  // classic ring reduce-scatter would rotate it per chunk and break
-  // cross-backend bitwise parity). Allgather phase: the reduced chunks
-  // stream back around the ring p-1 → 0 → ... → p-2. Both phases are
-  // acyclic chains, so plain blocking frame I/O cannot deadlock however
-  // large the payload.
-  const size_t n = data.size();
-  const int p = size_;
-  const int chunks = options_.cost.pipeline_chunk_count(data.size_bytes(), p);
-  const std::vector<size_t> offsets = chunk_offsets(n, chunks);
-  auto chunk = [&](std::span<float> buf, int k) {
-    return buf.subspan(offsets[static_cast<size_t>(k)],
-                       offsets[static_cast<size_t>(k) + 1] -
-                           offsets[static_cast<size_t>(k)]);
-  };
-
-  if (rank_ == 0) {
-    for (int k = 0; k < chunks; ++k) {
-      transfer(1, bytes_of(chunk(data, k)), kNoPeer, {});
-    }
-  } else {
-    for (int k = 0; k < chunks; ++k) {
-      const std::span<float> own = chunk(data, k);
-      chain_scratch_.resize(own.size());
-      const std::span<float> partial(chain_scratch_.data(), own.size());
-      transfer(kNoPeer, {}, rank_ - 1, partial);
-      // The incoming partial already folds ranks 0..rank-1 in order;
-      // appending this rank keeps the shared fold's rank-order semantics.
-      fold_contribution(partial, own, op);
-      if (rank_ < p - 1) {
-        transfer(rank_ + 1, bytes_of(partial), kNoPeer, {});
-      } else {
-        finish_reduce(partial, op, p);
-        std::copy(partial.begin(), partial.end(), own.begin());
-      }
-    }
-  }
-
-  // Distribution chain p-1 → 0 → 1 → ... → p-2; rank p-2 is the sink.
-  if (rank_ == p - 1) {
-    for (int k = 0; k < chunks; ++k) {
-      transfer(0, bytes_of(chunk(data, k)), kNoPeer, {});
-    }
-  } else {
-    const int source = rank_ == 0 ? p - 1 : rank_ - 1;
-    for (int k = 0; k < chunks; ++k) {
-      transfer(kNoPeer, {}, source, chunk(data, k));
-      if (rank_ <= p - 3) {
-        transfer(rank_ + 1, bytes_of(chunk(data, k)), kNoPeer, {});
-      }
-    }
+  if (span.active()) {
+    span.set_arg("bytes", data.size_bytes());
+    span.set_arg("wire_bytes", stats_.wire_sent_bytes +
+                                   stats_.wire_recv_bytes - wire_before);
   }
 }
 

@@ -10,41 +10,28 @@
 // lower rank and accepts from every higher one, each connection opening
 // with a versioned kHello so a mismatched build is rejected up front.
 //
-// Algorithms — all chosen per message size via the backend's CostModel,
-// and all reducing in EXACTLY ThreadComm's order (a left fold over ranks
-// 0..p-1), so results are bitwise identical across backends and the
-// algorithm switch can never change numerics:
+// Algorithms — one per collective. The allreduce reduces in EXACTLY
+// ThreadComm's order (a left fold over ranks 0..p-1), so results are
+// bitwise identical across backends:
 //
-//   allreduce, small payloads   ring circulation: p-1 full-duplex ring
-//                               steps gather every rank's contribution,
-//                               then each rank folds locally in rank
-//                               order — ThreadComm's reduction verbatim,
-//                               at one latency per step.
-//   allreduce, large payloads   pipelined ring: chunks stream down the
-//                               ring 0 → 1 → ... → p-1, each rank adding
-//                               its contribution (reduce phase: the rank-
-//                               order fold), then the reduced chunks
-//                               stream back around p-1 → 0 → ... → p-2
-//                               (allgather phase). A classic ring
-//                               reduce-scatter folds each chunk in a
-//                               ROTATED rank order — cheap, but not
-//                               bitwise-reproducible against the thread
-//                               backend — so the reduce phase keeps the
-//                               fold anchored at rank 0 and pipelines
-//                               chunks to recover the bandwidth. Both
-//                               phases are acyclic chains, hence
-//                               deadlock-free under blocking I/O at any
-//                               payload size.
-//   allgather                   ring circulation (variable block sizes —
-//                               the frame length prefix carries each
-//                               block's size), concatenated in rank order.
-//   broadcast                   binomial tree rooted at `root`.
-//   barrier                     dissemination (⌈log₂ p⌉ rounds).
+//   allreduce    ring circulation: p-1 full-duplex ring steps gather every
+//                rank's contribution, then each rank folds locally in rank
+//                order — ThreadComm's reduction verbatim, at one latency
+//                per step. Each rank sends (p-1)·n bytes, where a classic
+//                ring allreduce (reduce-scatter + allgather) sends
+//                2·(p-1)/p·n; but that ring folds each chunk in a ROTATED
+//                rank order, so it cannot match the thread backend bit for
+//                bit. Up to p = 4 the difference is at most 2×.
+//   allgather    ring circulation (variable block sizes — the frame length
+//                prefix carries each block's size), concatenated in rank
+//                order.
+//   broadcast    binomial tree rooted at `root`.
+//   barrier      dissemination (⌈log₂ p⌉ rounds).
 //
 // Every step goes through the wire's one frame pump (transfer_frames).
 // Cyclic steps (circulation, dissemination) send and receive in full
 // duplex so they cannot deadlock when a payload outgrows the kernel socket
-// buffers; chain phases send or receive one frame at a time. Every frame
+// buffers; tree steps send or receive one frame at a time. Every frame
 // runs under Options::timeout_s — a dead peer or a desynchronised
 // collective surfaces as a dkfac::Error, never a hang.
 //
@@ -86,8 +73,8 @@ struct SocketOptions {
   /// re-registration must outwait every survivor's in-flight collective
   /// timing out before the shrunk group can assemble.
   double rendezvous_timeout_s = 0.0;
-  /// Fabric model driving algorithm selection and (via cost_model())
-  /// the fusion/eager tuning of everything layered above.
+  /// Fabric model reported by cost_model(): the fusion/eager tuning of
+  /// everything layered above derives from it.
   CostModel cost = CostModel::loopback_tcp();
 };
 
@@ -112,11 +99,6 @@ class SocketComm final : public Communicator {
   void broadcast(std::span<float> data, int root) override;
   void barrier() override;
 
-  enum class AllreduceAlgo { kRingCirculation, kPipelinedRing };
-  /// The algorithm allreduce() will pick for a payload of `bytes` — a pure
-  /// function of (bytes, world size, cost model), identical on all ranks.
-  AllreduceAlgo allreduce_algorithm(uint64_t bytes) const;
-
  private:
   Socket& peer(int r);
   /// The one framed step on peer links (see transfer_frames): sends `out`
@@ -129,9 +111,6 @@ class SocketComm final : public Communicator {
   void transfer(int to, std::span<const uint8_t> out, int from, FrameDst in,
                 FrameType type = FrameType::kData);
 
-  void ring_circulation_allreduce(std::span<float> data, ReduceOp op);
-  void pipelined_ring_allreduce(std::span<float> data, ReduceOp op);
-
   SocketOptions options_;
   int rank_ = 0;
   int size_ = 1;
@@ -142,8 +121,7 @@ class SocketComm final : public Communicator {
   // Scratch reused across collectives — the gradient/factor exchange hits
   // these paths every iteration, so steady state must not allocate (the
   // buffers converge to the largest payload seen and stay there).
-  std::vector<float> circ_blocks_;   // p·n circulation blocks (small path)
-  std::vector<float> chain_scratch_; // one chunk's running partial
+  std::vector<float> circ_blocks_;   // p·n allreduce circulation blocks
   std::vector<std::vector<uint8_t>> gather_blocks_;  // allgather, by rank
 };
 

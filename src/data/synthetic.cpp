@@ -15,29 +15,6 @@ void SyntheticSpec::validate() const {
   DKFAC_CHECK(grid >= 1 && grid <= height && grid <= width);
 }
 
-SyntheticSpec cifar10_like() {
-  SyntheticSpec spec;
-  spec.num_classes = 10;
-  spec.channels = 3;
-  spec.height = spec.width = 32;
-  spec.train_size = 5120;
-  spec.val_size = 1024;
-  spec.seed = 0xC1FA;
-  return spec;
-}
-
-SyntheticSpec imagenet_like() {
-  SyntheticSpec spec;
-  spec.num_classes = 100;
-  spec.channels = 3;
-  spec.height = spec.width = 32;
-  spec.train_size = 12800;
-  spec.val_size = 2560;
-  spec.noise = 1.0f;  // harder: more classes, more overlap
-  spec.seed = 0x1000;
-  return spec;
-}
-
 namespace {
 
 /// Bilinear upsample of a [C, g, g] grid to [C, H, W], written into

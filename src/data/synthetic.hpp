@@ -40,14 +40,6 @@ struct SyntheticSpec {
   void validate() const;
 };
 
-/// CIFAR-10-like: 3×32×32, 10 classes.
-SyntheticSpec cifar10_like();
-
-/// ImageNet-like preset: 3×32×32, 100 classes, a larger train split than
-/// cifar10_like(). No bench trains on it: fig5_imagenet_convergence uses
-/// the smaller bench::bench_imagenet_spec() (3×16×16, 20 classes).
-SyntheticSpec imagenet_like();
-
 class SyntheticImageDataset {
  public:
   enum class Split { kTrain, kVal };

@@ -116,60 +116,6 @@ Tensor cholesky(const Tensor& a) {
   return out;
 }
 
-Tensor solve_lower(const Tensor& l, const Tensor& b) {
-  check_square(l, "solve_lower");
-  const int64_t n = l.dim(0);
-  DKFAC_CHECK(b.ndim() <= 2 && b.dim(0) == n)
-      << "rhs shape " << b.shape() << " incompatible with L of size " << n;
-  const int64_t cols = b.ndim() == 2 ? b.dim(1) : 1;
-  Tensor x = b;
-  const float* pl = l.data();
-  float* px = x.data();
-  // Columns are independent forward substitutions — parallel over c, with
-  // the per-column recurrence (and its rounding) unchanged.
-  const bool par = parallel_kernels_allowed() && cols >= 8 && n >= 32;
-#pragma omp parallel for schedule(static) if (par)
-  for (int64_t c = 0; c < cols; ++c) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float* lrow = pl + i * n;
-      double v = px[i * cols + c];
-      for (int64_t k = 0; k < i; ++k) {
-        v -= static_cast<double>(lrow[k]) * px[k * cols + c];
-      }
-      px[i * cols + c] = static_cast<float>(v / lrow[i]);
-    }
-  }
-  return x;
-}
-
-Tensor solve_lower_transposed(const Tensor& l, const Tensor& b) {
-  check_square(l, "solve_lower_transposed");
-  const int64_t n = l.dim(0);
-  DKFAC_CHECK(b.ndim() <= 2 && b.dim(0) == n)
-      << "rhs shape " << b.shape() << " incompatible with L of size " << n;
-  const int64_t cols = b.ndim() == 2 ? b.dim(1) : 1;
-  Tensor x = b;
-  const float* pl = l.data();
-  float* px = x.data();
-  const bool par = parallel_kernels_allowed() && cols >= 8 && n >= 32;
-#pragma omp parallel for schedule(static) if (par)
-  for (int64_t c = 0; c < cols; ++c) {
-    for (int64_t i = n - 1; i >= 0; --i) {
-      double v = px[i * cols + c];
-      for (int64_t k = i + 1; k < n; ++k) {
-        v -= static_cast<double>(pl[k * n + i]) * px[k * cols + c];
-      }
-      px[i * cols + c] = static_cast<float>(v / pl[i * n + i]);
-    }
-  }
-  return x;
-}
-
-Tensor spd_solve(const Tensor& a, const Tensor& b) {
-  const Tensor l = cholesky(a);
-  return solve_lower_transposed(l, solve_lower(l, b));
-}
-
 Tensor spd_inverse(const Tensor& a) {
   check_square(a, "spd_inverse");
   const int64_t n = a.dim(0);

@@ -17,13 +17,4 @@ Tensor cholesky(const Tensor& a);
 /// Inverse of an SPD matrix via Cholesky: A⁻¹ = L⁻ᵀ·L⁻¹.
 Tensor spd_inverse(const Tensor& a);
 
-/// Solve L·x = b with L lower-triangular (forward substitution).
-Tensor solve_lower(const Tensor& l, const Tensor& b);
-
-/// Solve Lᵀ·x = b with L lower-triangular (backward substitution).
-Tensor solve_lower_transposed(const Tensor& l, const Tensor& b);
-
-/// Solve A·x = b for SPD A.
-Tensor spd_solve(const Tensor& a, const Tensor& b);
-
 }  // namespace dkfac::linalg

@@ -67,23 +67,28 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   }
 
   Tensor y(x.shape());
-  Tensor xhat(x.shape());
+  // Only training keeps x̂, for backward; eval forms the same expression,
+  // γ·((x − μ)·σ⁻¹) + β, without storing it.
+  const bool keep_xhat = training();
+  Tensor xhat = keep_xhat ? Tensor(x.shape()) : Tensor();
 #pragma omp parallel for schedule(static)
   for (int64_t b = 0; b < n; ++b) {
     for (int64_t c = 0; c < channels_; ++c) {
-      const float* src = x.data() + (b * channels_ + c) * h * w;
-      float* xh = xhat.data() + (b * channels_ + c) * h * w;
-      float* dst = y.data() + (b * channels_ + c) * h * w;
+      const int64_t offset = (b * channels_ + c) * h * w;
+      const float* src = x.data() + offset;
+      float* xh = keep_xhat ? xhat.data() + offset : nullptr;
+      float* dst = y.data() + offset;
       const float m = mean[c], is = inv_std[c], g = gamma_.value[c],
                   bt = beta_.value[c];
       for (int64_t i = 0; i < h * w; ++i) {
-        xh[i] = (src[i] - m) * is;
-        dst[i] = g * xh[i] + bt;
+        const float v = (src[i] - m) * is;
+        if (xh != nullptr) xh[i] = v;
+        dst[i] = g * v + bt;
       }
     }
   }
 
-  if (training()) {
+  if (keep_xhat) {
     xhat_ = std::move(xhat);
     batch_mean_ = std::move(mean);
     batch_inv_std_ = std::move(inv_std);

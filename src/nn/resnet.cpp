@@ -1,7 +1,6 @@
 #include "nn/resnet.hpp"
 
 #include <string>
-#include <vector>
 
 #include "common/error.hpp"
 #include "nn/batchnorm.hpp"
@@ -50,31 +49,6 @@ LayerPtr basic_block(int64_t in, int64_t out, int64_t stride, Rng& rng,
       std::move(main), projection_shortcut(in, out, stride, rng, name), name);
 }
 
-LayerPtr bottleneck_block(int64_t in, int64_t mid, int64_t stride, Rng& rng,
-                          const std::string& name) {
-  const int64_t out = mid * 4;
-  auto main = std::make_unique<Sequential>(name + ".main");
-  main->emplace<Conv2d>(
-      Conv2dSpec{.in_channels = in, .out_channels = mid, .kernel = 1,
-                 .stride = 1, .padding = 0, .bias = false},
-      rng, name + ".conv1");
-  main->emplace<BatchNorm2d>(mid, name + ".bn1");
-  main->emplace<ReLU>(name + ".relu1");
-  main->emplace<Conv2d>(
-      Conv2dSpec{.in_channels = mid, .out_channels = mid, .kernel = 3,
-                 .stride = stride, .padding = 1, .bias = false},
-      rng, name + ".conv2");
-  main->emplace<BatchNorm2d>(mid, name + ".bn2");
-  main->emplace<ReLU>(name + ".relu2");
-  main->emplace<Conv2d>(
-      Conv2dSpec{.in_channels = mid, .out_channels = out, .kernel = 1,
-                 .stride = 1, .padding = 0, .bias = false},
-      rng, name + ".conv3");
-  main->emplace<BatchNorm2d>(out, name + ".bn3");
-  return std::make_unique<ResidualBlock>(
-      std::move(main), projection_shortcut(in, out, stride, rng, name), name);
-}
-
 }  // namespace
 
 LayerPtr resnet_cifar(int depth, int64_t num_classes, Rng& rng,
@@ -96,44 +70,6 @@ LayerPtr resnet_cifar(int depth, int64_t num_classes, Rng& rng,
       const std::string name =
           tag + ".s" + std::to_string(stage + 1) + ".b" + std::to_string(block + 1);
       net->add(basic_block(channels, out, stride, rng, name));
-      channels = out;
-    }
-  }
-  net->emplace<GlobalAvgPool>(tag + ".gap");
-  net->emplace<Linear>(channels, num_classes, /*bias=*/true, rng, tag + ".fc");
-  return net;
-}
-
-LayerPtr resnet_imagenet(int depth, int64_t num_classes, Rng& rng,
-                         int64_t base_width, int64_t in_channels) {
-  std::vector<int> blocks;
-  bool bottleneck = false;
-  switch (depth) {
-    case 18: blocks = {2, 2, 2, 2}; break;
-    case 34: blocks = {3, 4, 6, 3}; break;
-    case 50: blocks = {3, 4, 6, 3}; bottleneck = true; break;
-    case 101: blocks = {3, 4, 23, 3}; bottleneck = true; break;
-    case 152: blocks = {3, 8, 36, 3}; bottleneck = true; break;
-    default:
-      DKFAC_CHECK(false) << "unsupported ImageNet ResNet depth " << depth;
-  }
-  const std::string tag = "resnet" + std::to_string(depth);
-
-  auto net = std::make_unique<Sequential>(tag);
-  net->add(conv_bn(in_channels, base_width, 7, 2, 3, rng, tag + ".stem"));
-  net->emplace<ReLU>(tag + ".stem.relu");
-  net->emplace<MaxPool2d>(3, 2, 1, tag + ".stem.pool");
-
-  int64_t channels = base_width;
-  for (int stage = 0; stage < 4; ++stage) {
-    const int64_t mid = base_width << stage;
-    const int64_t out = bottleneck ? mid * 4 : mid;
-    for (int block = 0; block < blocks[static_cast<size_t>(stage)]; ++block) {
-      const int64_t stride = (stage > 0 && block == 0) ? 2 : 1;
-      const std::string name =
-          tag + ".s" + std::to_string(stage + 1) + ".b" + std::to_string(block + 1);
-      net->add(bottleneck ? bottleneck_block(channels, mid, stride, rng, name)
-                          : basic_block(channels, mid, stride, rng, name));
       channels = out;
     }
   }

@@ -1,7 +1,8 @@
-// ResNet model factory (He et al. 2016), both the CIFAR family
-// (6n+2-layer: ResNet-8/14/20/32/...) and the ImageNet family
-// (ResNet-18/34/50/101/152), plus small MLP/CNN builders used by tests
-// and the quickstart example.
+// ResNet model factory (He et al. 2016) for the CIFAR family (6n+2-layer:
+// ResNet-8/14/20/32/...), plus small MLP/CNN builders used by tests and
+// the quickstart example. The ImageNet family (ResNet-50/101/152) enters
+// only the modelled at-scale figures, as layer shapes:
+// sim::resnet_imagenet_arch.
 //
 // `base_width` scales every stage's channel count, which lets benches run
 // faithfully-shaped but laptop-sized models.
@@ -17,11 +18,6 @@ namespace dkfac::nn {
 /// depth ∈ {8, 14, 20, 26, 32, ...}; stages use widths {w, 2w, 4w}.
 LayerPtr resnet_cifar(int depth, int64_t num_classes, Rng& rng,
                       int64_t base_width = 16, int64_t in_channels = 3);
-
-/// ImageNet-style ResNet. depth ∈ {18, 34, 50, 101, 152}; 50+ use
-/// bottleneck blocks with expansion 4.
-LayerPtr resnet_imagenet(int depth, int64_t num_classes, Rng& rng,
-                         int64_t base_width = 64, int64_t in_channels = 3);
 
 /// Two-hidden-layer MLP for unit tests and the quickstart.
 LayerPtr mlp(int64_t in_features, int64_t hidden, int64_t num_classes, Rng& rng);

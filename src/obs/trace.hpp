@@ -328,11 +328,6 @@ class SpanScope {
 #define DKFAC_TRACE_SCOPE_NAMED(var, str) \
   ::dkfac::obs::SpanScope var(DKFAC_TRACE_INTERN(str))
 
-/// Scoped span whose name id is computed by the caller (pick one of
-/// several DKFAC_TRACE_INTERN'd names at runtime — e.g. per collective
-/// algorithm).
-#define DKFAC_TRACE_SCOPE_ID(var, id_expr) ::dkfac::obs::SpanScope var(id_expr)
-
 #define DKFAC_TRACE_INSTANT(str)                                      \
   do {                                                                \
     if (::dkfac::obs::Tracer::enabled())                              \

@@ -8,8 +8,6 @@ Sgd::Sgd(std::vector<nn::Parameter*> params, SgdOptions options)
     : params_(std::move(params)), options_(options) {
   DKFAC_CHECK(options_.lr > 0.0f) << "learning rate must be positive";
   DKFAC_CHECK(options_.momentum >= 0.0f && options_.momentum < 1.0f);
-  DKFAC_CHECK(!options_.nesterov || options_.momentum > 0.0f)
-      << "nesterov requires momentum";
   velocity_.reserve(params_.size());
   for (const nn::Parameter* p : params_) {
     velocity_.emplace_back(p->value.shape());
@@ -26,7 +24,7 @@ void Sgd::step() {
       if (options_.weight_decay != 0.0f) g += options_.weight_decay * p.value[j];
       if (options_.momentum != 0.0f) {
         v[j] = options_.momentum * v[j] + g;
-        g = options_.nesterov ? g + options_.momentum * v[j] : v[j];
+        g = v[j];
       }
       p.value[j] -= options_.lr * g;
     }

@@ -12,7 +12,6 @@ struct SgdOptions {
   float lr = 0.1f;
   float momentum = 0.0f;
   float weight_decay = 0.0f;
-  bool nesterov = false;
 };
 
 class Sgd {

@@ -11,7 +11,6 @@ TEST(CostModel, SingleRankIsFree) {
   CostModel m;
   EXPECT_EQ(m.allreduce_time(1 << 20, 1), 0.0);
   EXPECT_EQ(m.allgather_time(1 << 20, 1), 0.0);
-  EXPECT_EQ(m.broadcast_time(1 << 20, 1), 0.0);
 }
 
 TEST(CostModel, ZeroBytesIsFree) {
@@ -42,14 +41,6 @@ TEST(CostModel, MoreBytesTakeLonger) {
   CostModel m;
   EXPECT_LT(m.allreduce_time(1 << 10, 16), m.allreduce_time(1 << 24, 16));
   EXPECT_LT(m.allgather_time(1 << 10, 16), m.allgather_time(1 << 24, 16));
-}
-
-TEST(CostModel, BroadcastLogarithmicHops) {
-  CostModel m;
-  m.bandwidth_bytes_per_s = 1e18;
-  const double t2 = m.broadcast_time(4, 2);    // 1 hop
-  const double t16 = m.broadcast_time(4, 16);  // 4 hops
-  EXPECT_NEAR(t16 / t2, 4.0, 1e-9);
 }
 
 TEST(CostModel, EffectiveBandwidthAppliesEfficiency) {
@@ -112,32 +103,6 @@ TEST(CostModel, EagerBytesScaleWithFabricLatency) {
   EXPECT_LE(socket_eager, 8ull << 20);  // clamp
   EXPECT_EQ(CostModel{}.recommended_eager_bytes(1), 4ull << 10);
   EXPECT_THROW(CostModel{}.recommended_eager_bytes(0), Error);
-}
-
-TEST(CostModel, PipelineChunkCountBoundsAndGrowth) {
-  const CostModel m = CostModel::loopback_tcp();
-  EXPECT_EQ(m.pipeline_chunk_count(1 << 20, 1), 1);
-  EXPECT_EQ(m.pipeline_chunk_count(1 << 20, 2), 1);  // chain of 2: no pipeline
-  EXPECT_EQ(m.pipeline_chunk_count(0, 8), 1);
-  // More bytes → more chunks, up to the caps.
-  const int small = m.pipeline_chunk_count(64 << 10, 4);
-  const int large = m.pipeline_chunk_count(64 << 20, 4);
-  EXPECT_LE(small, large);
-  EXPECT_GE(small, 1);
-  EXPECT_LE(large, 256);
-  // Chunks never shrink below the 4 KB frame-amortisation floor.
-  EXPECT_EQ(m.pipeline_chunk_count(6 << 10, 64), 1);
-}
-
-TEST(CostModel, AllreduceAlgorithmCrossoverIsSizeMonotonic) {
-  // Circulation wins on latency for small payloads, the pipelined ring on
-  // bandwidth for large ones; between them there is one crossover.
-  const CostModel m = CostModel::loopback_tcp();
-  const int ranks = 8;
-  EXPECT_LT(m.circulating_allreduce_time(1 << 10, ranks),
-            m.pipelined_allreduce_time(1 << 10, ranks));
-  EXPECT_GT(m.circulating_allreduce_time(16 << 20, ranks),
-            m.pipelined_allreduce_time(16 << 20, ranks));
 }
 
 }  // namespace

@@ -12,7 +12,8 @@ namespace {
 using Split = SyntheticImageDataset::Split;
 
 SyntheticSpec small_spec() {
-  SyntheticSpec spec = cifar10_like();
+  SyntheticSpec spec;
+  spec.seed = 0xC1FA;
   spec.train_size = 320;
   spec.val_size = 40;
   spec.height = spec.width = 8;

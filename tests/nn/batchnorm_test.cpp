@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "grad_check.hpp"
@@ -77,6 +79,33 @@ TEST(BatchNorm, EvalModeIsPerSampleDeterministic) {
   Tensor y_batch = bn.forward(batch);
   for (int64_t i = 0; i < one.numel(); ++i) {
     EXPECT_FLOAT_EQ(y_batch[i], y_single[i]);
+  }
+}
+
+TEST(BatchNorm, EvalOutputIsTheAffineNormalisationBitwise) {
+  // Eval mode keeps no x̂, yet each output must be, bit for bit,
+  // γ·((x − running_mean)·inv_std) + β with inv_std = 1/√(running_var + ε).
+  const float eps = 1e-5f;
+  BatchNorm2d bn(3, "bn", /*momentum=*/0.3f, eps);
+  Rng rng(44);
+  bn.forward(Tensor::randn(Shape{4, 3, 5, 5}, rng, 2.0f, 1.5f));  // running stats
+  for (int64_t c = 0; c < 3; ++c) {
+    bn.gamma().value[c] = 0.5f + 0.75f * static_cast<float>(c);
+    bn.beta().value[c] = -1.25f + static_cast<float>(c);
+  }
+  bn.set_training(false);
+
+  const Tensor x = Tensor::randn(Shape{2, 3, 5, 5}, rng, 1.0f, 2.0f);
+  const Tensor y = bn.forward(x);
+  ASSERT_EQ(y.shape(), x.shape());
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    const int64_t c = (i / 25) % 3;
+    const float inv_std = 1.0f / std::sqrt(bn.running_var()[c] + eps);
+    const float want =
+        bn.gamma().value[c] * ((x[i] - bn.running_mean()[c]) * inv_std) +
+        bn.beta().value[c];
+    EXPECT_EQ(std::bit_cast<uint32_t>(y[i]), std::bit_cast<uint32_t>(want))
+        << "element " << i;
   }
 }
 

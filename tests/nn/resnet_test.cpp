@@ -61,25 +61,6 @@ TEST(ResNetCifar, StridesHalveResolution) {
   EXPECT_EQ(y.shape(), Shape({1, 10}));
 }
 
-TEST(ResNetImagenet, SupportedDepths) {
-  Rng rng(75);
-  for (int depth : {18, 34, 50}) {
-    // Tiny width keeps construction cheap; topology is depth-faithful.
-    LayerPtr net = resnet_imagenet(depth, 10, rng, /*base_width=*/4);
-    Tensor y = net->forward(Tensor::randn(Shape{1, 3, 32, 32}, rng));
-    EXPECT_EQ(y.shape(), Shape({1, 10})) << "depth " << depth;
-  }
-  EXPECT_THROW(resnet_imagenet(77, 10, rng), Error);
-}
-
-TEST(ResNetImagenet, Resnet50KfacLayerCount) {
-  Rng rng(76);
-  // ResNet-50: stem + 16 bottleneck blocks × 3 convs + 4 downsample
-  // projections + fc = 1 + 48 + 4 + 1 = 54 eligible layers.
-  LayerPtr net = resnet_imagenet(50, 10, rng, 4);
-  EXPECT_EQ(net->kfac_layers().size(), 54u);
-}
-
 TEST(ResidualBlock, GradCheckSkipRouting) {
   // Finite-difference check of the residual topology itself — main branch,
   // projection shortcut, and the post-add ReLU. BatchNorm is omitted here

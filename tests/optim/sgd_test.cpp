@@ -41,14 +41,6 @@ TEST(Sgd, MomentumAccumulates) {
   EXPECT_FLOAT_EQ(p.value[0], -2.9f);
 }
 
-TEST(Sgd, NesterovLookahead) {
-  nn::Parameter p = make_param({0.0f});
-  Sgd sgd({&p}, {.lr = 1.0f, .momentum = 0.5f, .nesterov = true});
-  p.grad = Tensor(Shape{1}, {1.0f});
-  sgd.step();  // v=1, update = g + m·v = 1.5
-  EXPECT_FLOAT_EQ(p.value[0], -1.5f);
-}
-
 TEST(Sgd, LrMutableBetweenSteps) {
   nn::Parameter p = make_param({0.0f});
   Sgd sgd({&p}, {.lr = 1.0f});
@@ -63,7 +55,6 @@ TEST(Sgd, InvalidOptionsThrow) {
   nn::Parameter p = make_param({0.0f});
   EXPECT_THROW(Sgd({&p}, {.lr = 0.0f}), Error);
   EXPECT_THROW(Sgd({&p}, {.lr = 0.1f, .momentum = 1.0f}), Error);
-  EXPECT_THROW(Sgd({&p}, {.lr = 0.1f, .momentum = 0.0f, .nesterov = true}), Error);
 }
 
 TEST(Sgd, MultipleParameterBuffersIndependent) {
