@@ -53,6 +53,7 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/parse.hpp"
+#include "data/loader.hpp"
 #include "nn/resnet.hpp"
 #include "nn/sequential.hpp"
 #include "nn/serialize.hpp"
@@ -195,6 +196,12 @@ int main(int argc, char** argv) {
   spec.train_size = 1280;
   spec.val_size = 512;
   spec.noise = 3.0f;
+  // The training split must fill one global batch: the loader's own check.
+  check_flag("--batch/--ranks", [&] {
+    const data::SyntheticImageDataset train_set(
+        spec, data::SyntheticImageDataset::Split::kTrain);
+    (void)data::ShardedLoader(train_set, cli.batch, /*rank=*/0, cli.workers);
+  });
 
   train::ModelFactory factory;
   if (cli.model == "resnet8" || cli.model == "resnet14" || cli.model == "resnet20") {

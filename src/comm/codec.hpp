@@ -22,7 +22,7 @@
 // Reduction contract ("encode once, reduce in FP32"): a lossy payload is
 // quantised exactly once, on the contributing rank. The reduction gathers
 // every rank's encoded contribution verbatim, decodes each to FP32, folds
-// in rank order — ThreadComm's exact fold — and re-encodes the identical
+// in rank order — allreduce()'s own fold — and re-encodes the identical
 // result everywhere (Communicator::allreduce_encoded). Thread and socket
 // backends therefore remain bitwise identical to EACH OTHER at every
 // precision; only the fp32-vs-compressed comparison is approximate.

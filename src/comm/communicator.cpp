@@ -3,62 +3,155 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "obs/trace.hpp"
 
 namespace dkfac::comm {
+
+namespace {
+
+// The one fold of every allreduce, on every backend and at every
+// precision: ascending rank order, identical arithmetic.
+
+/// Accumulates rank r's contribution `src` into the running fold `result`.
+void fold_contribution(std::span<float> result, std::span<const float> src,
+                       ReduceOp op) {
+  if (op == ReduceOp::kMax) {
+    for (size_t i = 0; i < result.size(); ++i) {
+      result[i] = std::max(result[i], src[i]);
+    }
+  } else {
+    for (size_t i = 0; i < result.size(); ++i) result[i] += src[i];
+  }
+}
+
+/// Final step of a completed fold: the kAverage 1/p scale (no-op otherwise).
+void finish_reduce(std::span<float> result, ReduceOp op, int ranks) {
+  if (op != ReduceOp::kAverage) return;
+  const float inv = 1.0f / static_cast<float>(ranks);
+  for (float& v : result) v *= inv;
+}
+
+uint64_t wire_bytes(const CommStats& stats) {
+  return stats.wire_sent_bytes + stats.wire_recv_bytes;
+}
+
+/// A completed collective's span args: its payload bytes and the wire bytes
+/// the backend moved for it (0 on shared memory).
+void annotate(obs::SpanScope& span, uint64_t bytes, uint64_t wire) {
+  if (!span.active()) return;
+  span.set_arg("bytes", bytes);
+  span.set_arg("wire_bytes", wire);
+}
+
+}  // namespace
+
+void Communicator::allreduce(std::span<float> data, ReduceOp op) {
+  reduce(data, Precision::kFp32, op);
+}
 
 void Communicator::allreduce_encoded(std::span<float> data,
                                      Precision precision, ReduceOp op) {
   DKFAC_CHECK(precision != Precision::kFp32)
       << "fp32 payloads take the lossless allreduce()";
-  const int p = size();
-  if (p == 1 || data.empty()) {
-    stats_.allreduce_calls++;
-    stats_.allreduce_bytes += data.size_bytes();
-    return;
-  }
+  reduce(data, precision, op);
+}
 
-  // Transport: gather every rank's encoded block through the backend's own
-  // allgather — a pure byte copy on every backend, so the quantised
-  // contributions arrive verbatim. This is an allreduce to the caller, so
-  // the allgather's logical-stat contribution is re-attributed to the
-  // allreduce counters (wire counters are untouched: those bytes really
-  // moved and really were halved by the encoding).
-  const uint64_t gather_calls = stats_.allgather_calls;
-  const uint64_t gather_bytes = stats_.allgather_bytes;
-  allgather_into(data, encoded_gather_);
-  const std::vector<float>& gathered = encoded_gather_;
-  stats_.allgather_calls = gather_calls;
-  stats_.allgather_bytes = gather_bytes;
+void Communicator::reduce(std::span<float> data, Precision precision,
+                          ReduceOp op) {
   stats_.allreduce_calls++;
   stats_.allreduce_bytes += data.size_bytes();
-  DKFAC_CHECK(gathered.size() == data.size() * static_cast<size_t>(p))
-      << "encoded allreduce length mismatch across ranks";
+  const int p = size();
+  if (p == 1) return;
+  DKFAC_TRACE_SCOPE_NAMED(span, "comm.allreduce");
+  const uint64_t wire = wire_bytes(stats_);
 
-  // Decode each contribution once and fold in ascending rank order — the
-  // shared fold_contribution/finish_reduce helpers, i.e. the exact fold
-  // ThreadComm::allreduce performs — entirely in fp32. Every rank runs
-  // this identical local computation on identical bytes, so the
-  // re-encoded result is identical everywhere. Padding elements decode to
-  // +0.0, fold to 0 (or stay 0 under max against themselves), and
-  // re-encode to zero bits: stable, and never read back by the caller.
-  const size_t elements = 2 * data.size();  // includes any pad slot
-  encoded_fold_result_.resize(elements);
-  encoded_fold_scratch_.resize(elements);
-  const std::span<float> result(encoded_fold_result_);
-  const std::span<float> contribution(encoded_fold_scratch_);
+  const Views blocks = exchange(data);
   for (int r = 0; r < p; ++r) {
-    const std::span<const float> block(gathered.data() +
-                                           static_cast<size_t>(r) * data.size(),
-                                       data.size());
-    if (r == 0) {
-      Codec::decode(block, result, precision);
-      continue;
-    }
-    Codec::decode(block, contribution, precision);
-    fold_contribution(result, contribution, op);
+    const size_t sent = blocks[static_cast<size_t>(r)].size();
+    if (sent == data.size()) continue;
+    // Every rank sees the same lengths, so every rank throws here.
+    end_exchange();
+    DKFAC_CHECK(sent == data.size())
+        << "allreduce length mismatch: rank " << r << " sent " << sent
+        << " floats, rank " << rank() << " sent " << data.size();
   }
-  finish_reduce(result, op, p);
-  Codec::encode(result, data, precision);
+
+  // Fold into scratch: this rank's own view may be `data` itself, which
+  // must not change before end_exchange(). Rank 0's block seeds the fold,
+  // so no zero-fill pass is needed. A 16-bit block is decoded first; its
+  // pad slot decodes to +0.0, folds to 0 and re-encodes to zero bits.
+  const bool encoded = precision != Precision::kFp32;
+  fold_.resize(encoded ? 2 * data.size() : data.size());
+  const std::span<float> fold(fold_);
+  if (encoded) {
+    decoded_.resize(fold_.size());
+    Codec::decode(blocks[0], fold, precision);
+  } else {
+    std::copy(blocks[0].begin(), blocks[0].end(), fold.begin());
+  }
+  for (int r = 1; r < p; ++r) {
+    std::span<const float> block = blocks[static_cast<size_t>(r)];
+    if (encoded) {
+      Codec::decode(block, decoded_, precision);
+      block = decoded_;
+    }
+    fold_contribution(fold, block, op);
+  }
+  finish_reduce(fold, op, p);
+  end_exchange();
+
+  if (encoded) {
+    Codec::encode(fold, data, precision);
+  } else {
+    std::copy(fold.begin(), fold.end(), data.begin());
+  }
+  annotate(span, data.size_bytes(), wire_bytes(stats_) - wire);
+}
+
+void Communicator::allgather_into(std::span<const float> send,
+                                  std::vector<float>& recv) {
+  stats_.allgather_calls++;
+  stats_.allgather_bytes += send.size_bytes();
+  if (size() == 1) {
+    recv.assign(send.begin(), send.end());
+    return;
+  }
+  DKFAC_TRACE_SCOPE_NAMED(span, "comm.allgather");
+  const uint64_t wire = wire_bytes(stats_);
+
+  const Views blocks = exchange(send);
+  size_t total = 0;
+  for (const std::span<const float> block : blocks) total += block.size();
+  // resize + positional copy (not clear/insert) so a warm caller-owned
+  // buffer of the right capacity is refilled without touching the heap.
+  recv.resize(total);
+  auto out = recv.begin();
+  for (const std::span<const float> block : blocks) {
+    out = std::copy(block.begin(), block.end(), out);
+  }
+  end_exchange();
+  annotate(span, send.size_bytes(), wire_bytes(stats_) - wire);
+}
+
+void Communicator::broadcast(std::span<float> data, int root) {
+  DKFAC_CHECK(root >= 0 && root < size())
+      << "broadcast root " << root << " out of range for size " << size();
+  stats_.broadcast_calls++;
+  // The root injected the payload; receiving ranks contributed nothing.
+  if (rank() == root) stats_.broadcast_bytes += data.size_bytes();
+  if (size() == 1) return;
+  DKFAC_TRACE_SCOPE_NAMED(span, "comm.broadcast");
+  const uint64_t wire = wire_bytes(stats_);
+  do_broadcast(data, root);
+  annotate(span, data.size_bytes(), wire_bytes(stats_) - wire);
+}
+
+void Communicator::barrier() {
+  if (size() == 1) return;
+  DKFAC_TRACE_SCOPE_NAMED(span, "comm.barrier");
+  const uint64_t wire = wire_bytes(stats_);
+  do_barrier();
+  annotate(span, 0, wire_bytes(stats_) - wire);
 }
 
 }  // namespace dkfac::comm

@@ -2,16 +2,17 @@
 //
 // The paper's Algorithm 1 is expressed entirely in terms of three
 // collectives — allreduce, allgather, broadcast — plus rank/size queries.
-// This interface mirrors that surface. Production Horovod backs these with
-// NCCL/MPI rings across nodes; here two interchangeable backends exist:
-// the thread-backed LocalGroup/ThreadComm (N ranks as N threads over
-// shared memory, see thread_comm.hpp) and the multi-process TCP
-// net::SocketComm (ring/tree collectives between separate processes, see
-// net/socket_comm.hpp). Both reduce in the same rank order, so training
-// results are bitwise identical across backends.
+// Production Horovod backs them with NCCL/MPI rings. Here Communicator
+// defines each collective once for every backend: an allreduce exchanges
+// every rank's contribution and folds them in rank order, so all ranks and
+// both backends compute the same bits. It also owns the length and root
+// checks, the size-1 shortcut, the CommStats payload counters and one
+// `comm.*` span per call; a backend only moves bytes (the protected
+// transport). Backends: LocalGroup/ThreadComm, N ranks as N threads
+// (thread_comm.hpp), and the multi-process TCP net::SocketComm
+// (net/socket_comm.hpp).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -58,31 +59,6 @@ enum class ReduceOp {
   kMax,
 };
 
-// The ONE elementwise fold every allreduce implementation shares. The
-// cross-backend bitwise-parity contract says thread, socket, and encoded
-// reductions all combine contributions in ascending rank order with
-// identical arithmetic; routing them through these two helpers makes that
-// parity structural instead of three hand-kept copies.
-
-/// Accumulates rank r's contribution `src` into the running fold `result`.
-inline void fold_contribution(std::span<float> result,
-                              std::span<const float> src, ReduceOp op) {
-  if (op == ReduceOp::kMax) {
-    for (size_t i = 0; i < result.size(); ++i) {
-      result[i] = std::max(result[i], src[i]);
-    }
-  } else {
-    for (size_t i = 0; i < result.size(); ++i) result[i] += src[i];
-  }
-}
-
-/// Final step of a completed fold: the kAverage 1/p scale (no-op otherwise).
-inline void finish_reduce(std::span<float> result, ReduceOp op, int ranks) {
-  if (op != ReduceOp::kAverage) return;
-  const float inv = 1.0f / static_cast<float>(ranks);
-  for (float& v : result) v *= inv;
-}
-
 /// Background-pipeline counters. Shared by AsyncExecutor::stats() and
 /// CommStats so the derived "overlap won" metric has a single definition.
 struct AsyncCommStats {
@@ -100,13 +76,14 @@ struct AsyncCommStats {
 
 /// Per-rank communication counters (drives the comm-volume ablation bench).
 ///
-/// The logical byte counters follow one payload-contribution convention,
-/// uniform across backends: allreduce counts this rank's buffer, allgather
-/// counts this rank's send, broadcast counts the payload at the root only.
-/// Summing any counter across ranks therefore gives the unique payload
-/// injected into that collective — backends must not re-count forwarded or
-/// echoed bytes here. What a backend really moved (headers, forwarding
-/// hops, algorithm overhead) is the wire counters' job below.
+/// Communicator's collective wrappers own the call and logical byte
+/// counters, one payload-contribution convention for every backend:
+/// allreduce counts this rank's buffer (at the encoded size for a 16-bit
+/// payload), allgather counts this rank's send, broadcast counts the
+/// payload at the root only. Summing any counter across ranks therefore
+/// gives the unique payload injected into that collective. Backends never
+/// touch them; what a backend really moved (headers, forwarding hops) is
+/// its wire counters' job below.
 struct CommStats {
   uint64_t allreduce_calls = 0;
   uint64_t allreduce_bytes = 0;
@@ -165,44 +142,42 @@ class Communicator {
   virtual int rank() const = 0;
   virtual int size() const = 0;
 
-  /// In-place elementwise reduction across all ranks. Deterministic:
-  /// contributions are combined in rank order on every rank.
-  virtual void allreduce(std::span<float> data, ReduceOp op) = 0;
+  /// In-place elementwise reduction across all ranks. Deterministic: every
+  /// rank folds every contribution in ascending rank order. Every rank must
+  /// pass the same length; otherwise every rank throws dkfac::Error.
+  void allreduce(std::span<float> data, ReduceOp op);
 
   /// Concatenation of every rank's contribution in rank order, written to
   /// a caller-owned buffer (resized to fit). Sizes may differ per rank
   /// (allgatherv semantics, like Horovod's allgather). Repeated gathers of
   /// a fixed shape reuse the buffer's capacity instead of reallocating it
-  /// (the K-FAC gathers and the encoded reduction keep one each).
-  virtual void allgather_into(std::span<const float> send,
-                              std::vector<float>& recv) = 0;
+  /// (the K-FAC gathers keep one each).
+  void allgather_into(std::span<const float> send, std::vector<float>& recv);
 
   /// Copies `data` from `root` to all ranks.
-  virtual void broadcast(std::span<float> data, int root) = 0;
+  void broadcast(std::span<float> data, int root);
 
-  virtual void barrier() = 0;
+  void barrier();
 
   /// Allreduce over a codec-encoded (fp16/bf16) payload: `data` holds
   /// 16-bit elements bit-packed two per float (comm::Codec's transport
   /// layout). Semantics are "encode once, reduce in fp32": every rank's
-  /// encoded contribution is gathered verbatim (byte-exact transport),
-  /// decoded to fp32, folded in rank order — the same fold as
-  /// allreduce() — and the identical result is re-encoded on every rank.
-  /// One definition over the virtual allgather_into serves every backend,
-  /// so thread and socket runs stay bitwise identical to each other at any
-  /// precision. Counted in allreduce_calls/bytes (at the encoded size),
-  /// like the lossless collective it replaces.
+  /// encoded contribution is exchanged verbatim (byte-exact transport),
+  /// decoded to fp32, folded in rank order — allreduce()'s body, with a
+  /// decode before the fold — and the identical result is re-encoded on
+  /// every rank. Thread and socket runs therefore stay bitwise identical
+  /// to each other at any precision. Counted in allreduce_calls/bytes (at
+  /// the encoded size), like the lossless collective it replaces.
   ///
   /// Scaling trade-off: encode-once forbids re-quantising partial sums,
-  /// so the transport is an allgather of contributions — O((p−1)·n/2)
-  /// wire bytes per rank versus a bandwidth-optimal ring allreduce's
-  /// ~2·n·(p−1)/p of the fp32 payload. SocketComm's rank-order-preserving
-  /// allreduce circulates every contribution too, so the encoded path
-  /// ships half its bytes at every p. Against the bandwidth-optimal ring
-  /// it ships fewer bytes below p = 4, as many at p = 4, and more beyond,
-  /// where the gather term dominates. Compression is aimed at the small-
-  /// world / latency-bound factor exchanges the paper targets, not at
-  /// large p.
+  /// so every contribution travels whole — O((p−1)·n/2) wire bytes per
+  /// rank versus a bandwidth-optimal ring allreduce's ~2·n·(p−1)/p of the
+  /// fp32 payload. The lossless allreduce circulates every contribution
+  /// too, so the encoded path ships half its bytes at every p. Against the
+  /// bandwidth-optimal ring it ships fewer bytes below p = 4, as many at
+  /// p = 4, and more beyond, where the gather term dominates. Compression
+  /// is aimed at the small-world / latency-bound factor exchanges the
+  /// paper targets, not at large p.
   void allreduce_encoded(std::span<float> data, Precision precision,
                          ReduceOp op);
 
@@ -243,26 +218,42 @@ class Communicator {
   void broadcast(Tensor& t, int root) { broadcast(t.span(), root); }
 
  protected:
+  /// One read-only view per rank, in rank order.
+  using Views = std::span<const std::span<const float>>;
+
+  // ---- transport ---------------------------------------------------------
+  //
+  // What a backend implements: moving bytes. The collectives above call it
+  // only when size() > 1, after their own checks and counting.
+
+  /// Makes every rank's `send` visible to this rank as one view per rank.
+  /// The views stay valid, and every rank's `send` must stay unchanged,
+  /// until end_exchange(), which every rank calls once per exchange.
+  virtual Views exchange(std::span<const float> send) = 0;
+  virtual void end_exchange() = 0;
+  /// Copies `root`'s `data` into every other rank's `data`.
+  virtual void do_broadcast(std::span<float> data, int root) = 0;
+  virtual void do_barrier() = 0;
+
+  /// Wire counters are the backend's to fill (see CommStats).
   CommStats stats_;
 
  private:
-  // allreduce_encoded's gather destination and fp32 fold scratch, reused
-  // across calls — the encoded reduction runs once per fused chunk, and
-  // reallocating chunk-sized buffers there would put megabyte mallocs on
-  // the comm worker's hot path (ThreadComm keeps reduce_scratch_ for the
-  // same reason). Collectives are single-caller per communicator (see the
-  // AsyncExecutor threading contract), so plain members are safe.
-  std::vector<float> encoded_gather_;
-  std::vector<float> encoded_fold_result_;
-  std::vector<float> encoded_fold_scratch_;
+  /// allreduce() and allreduce_encoded() (kFp32: no codec).
+  void reduce(std::span<float> data, Precision precision, ReduceOp op);
+
+  // The fold and one decoded 16-bit contribution, reused across calls:
+  // the gradient and factor exchanges reduce every step, and reallocating
+  // chunk-sized buffers there would put megabyte mallocs on the comm
+  // worker's hot path. Collectives are single-caller per communicator (see
+  // the AsyncExecutor threading contract), so plain members are safe.
+  std::vector<float> fold_;
+  std::vector<float> decoded_;
 };
 
 /// Size-1 communicator: every collective is a no-op (single-process runs).
 class SelfComm final : public Communicator {
  public:
-  using Communicator::allreduce;
-  using Communicator::broadcast;
-
   int rank() const override { return 0; }
   int size() const override { return 1; }
 
@@ -271,26 +262,12 @@ class SelfComm final : public Communicator {
     return kModel;
   }
 
-  void allreduce(std::span<float> data, ReduceOp op) override {
-    stats_.allreduce_calls++;
-    stats_.allreduce_bytes += data.size_bytes();
-    (void)op;
-  }
-
-  void allgather_into(std::span<const float> send,
-                      std::vector<float>& recv) override {
-    stats_.allgather_calls++;
-    stats_.allgather_bytes += send.size_bytes();
-    recv.assign(send.begin(), send.end());
-  }
-
-  void broadcast(std::span<float> data, int root) override {
-    stats_.broadcast_calls++;
-    stats_.broadcast_bytes += data.size_bytes();
-    (void)root;
-  }
-
-  void barrier() override {}
+ protected:
+  // Never called: a size-1 communicator's collectives return first.
+  Views exchange(std::span<const float>) override { return {}; }
+  void end_exchange() override {}
+  void do_broadcast(std::span<float>, int) override {}
+  void do_barrier() override {}
 };
 
 }  // namespace dkfac::comm

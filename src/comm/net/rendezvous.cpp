@@ -53,43 +53,40 @@ void RendezvousServer::collect(const std::function<int()>& target,
   // misconfigured against each other is a config error, not a flaky
   // client, and the fixed-mode tests pin that down.
   auto pump = [&](Registration& reg) -> bool {
-    while (reg.buf.size() < kHelloFrameBytes) {
-      uint8_t tmp[kHelloFrameBytes];
-      const size_t want = kHelloFrameBytes - reg.buf.size();
-      const ssize_t n = ::recv(reg.sock.fd(), tmp, want, 0);
-      if (n == 0) {
-        DKFAC_LOG_WARN << "rendezvous: client closed before finishing hello";
-        return false;
-      }
-      if (n < 0) {
-        if (transient_io_errno(errno)) {
-          return true;  // not complete yet — keep waiting
+    try {
+      while (reg.buf.size() < kHelloFrameBytes) {
+        uint8_t tmp[kHelloFrameBytes];
+        const size_t want = kHelloFrameBytes - reg.buf.size();
+        const ssize_t n = ::recv(reg.sock.fd(), tmp, want, 0);
+        if (n == 0) {
+          DKFAC_LOG_WARN << "rendezvous: client closed before finishing hello";
+          return false;
         }
-        DKFAC_LOG_WARN << "rendezvous: client recv error, dropping";
-        return false;
-      }
-      reg.buf.insert(reg.buf.end(), tmp, tmp + n);
-      if (reg.buf.size() >= kFrameHeaderBytes) {
-        // Check the header as soon as it is whole so garbage is rejected
-        // before we wait for a payload that will never come.
-        try {
+        if (n < 0) {
+          if (transient_io_errno(errno)) {
+            return true;  // not complete yet — keep waiting
+          }
+          DKFAC_LOG_WARN << "rendezvous: client recv error, dropping";
+          return false;
+        }
+        reg.buf.insert(reg.buf.end(), tmp, tmp + n);
+        if (reg.buf.size() >= kFrameHeaderBytes) {
+          // Check the header as soon as it is whole so garbage is rejected
+          // before we wait for a payload that will never come.
           FrameHeader::decode(reg.buf.data())
               .check(FrameType::kHello, /*seq=*/0, kHelloBytes,
                      "rendezvous hello");
-        } catch (const Error& e) {
-          DKFAC_LOG_WARN << "rendezvous: bad hello header (" << e.what()
-                         << "), dropping";
-          return false;
         }
       }
+      FrameHeader::decode(reg.buf.data())
+          .check_payload({reg.buf.data() + kFrameHeaderBytes, kHelloBytes},
+                         "rendezvous hello");
+    } catch (const Error& e) {
+      DKFAC_LOG_WARN << "rendezvous: bad hello (" << e.what() << "), dropping";
+      return false;
     }
     const std::span<const uint8_t> payload(reg.buf.data() + kFrameHeaderBytes,
                                            kHelloBytes);
-    const FrameHeader header = FrameHeader::decode(reg.buf.data());
-    if (crc32(payload) != header.checksum) {
-      DKFAC_LOG_WARN << "rendezvous: hello checksum mismatch, dropping";
-      return false;
-    }
     const int worker_world = static_cast<int>(get_u32(payload, 0));
     if (world_for_hello == kElasticWorld) {
       if (worker_world != kElasticWorld) {

@@ -1,11 +1,8 @@
 #include "comm/net/socket_comm.hpp"
 
-#include <algorithm>
-
 #include "comm/net/faultnet.hpp"
 #include "comm/net/rendezvous.hpp"
 #include "common/error.hpp"
-#include "obs/trace.hpp"
 
 namespace dkfac::comm::net {
 
@@ -101,7 +98,7 @@ SocketComm::SocketComm(const SocketOptions& options) : options_(options) {
   }
 
   // Everyone reaches here only with a complete, verified mesh.
-  barrier();
+  do_barrier();
 }
 
 Socket& SocketComm::peer(int r) {
@@ -145,116 +142,27 @@ void SocketComm::transfer(int to, std::span<const uint8_t> out, int from,
   }
 }
 
-void SocketComm::allreduce(std::span<float> data, ReduceOp op) {
-  stats_.allreduce_calls++;
-  stats_.allreduce_bytes += data.size_bytes();
-  // Zero-length reductions carry no payload and (unlike ThreadComm, where
-  // every collective doubles as a barrier) need no synchronisation.
-  if (size_ == 1 || data.empty()) return;
-  DKFAC_TRACE_SCOPE_NAMED(span, "socket.allreduce.ring");
-  const uint64_t wire_before = stats_.wire_sent_bytes + stats_.wire_recv_bytes;
-
-  // Every rank's contribution circulates the ring (p-1 full-duplex steps),
-  // then each rank folds all p blocks locally in rank order — exactly
-  // ThreadComm's reduction, so the result is bitwise identical to the
-  // thread backend regardless of world size.
-  const size_t n = data.size();
+Communicator::Views SocketComm::exchange(std::span<const float> send) {
+  // Ring circulation: step s forwards the block received at step s-1 (this
+  // rank's own at s = 0), so after p-1 steps every block has visited every
+  // rank. Each incoming block lands straight in its rank's buffer, sized by
+  // its frame; this rank's view is `send` itself, never copied.
   const int p = size_;
   const int next = (rank_ + 1) % p;
   const int prev = (rank_ - 1 + p) % p;
-
-  circ_blocks_.resize(static_cast<size_t>(p) * n);
-  std::copy(data.begin(), data.end(),
-            circ_blocks_.begin() + static_cast<size_t>(rank_) * n);
+  blocks_.resize(static_cast<size_t>(p));
+  views_.resize(static_cast<size_t>(p));
+  views_[static_cast<size_t>(rank_)] = send;
   for (int s = 0; s < p - 1; ++s) {
     const auto send_block = static_cast<size_t>((rank_ - s + p) % p);
     const auto recv_block = static_cast<size_t>((rank_ - s - 1 + p) % p);
-    // Every rank's block is the same n floats, so the incoming block lands
-    // directly in its circulation slot — no intermediate receive buffer,
-    // no memcpy (a size-mismatched peer fails inside the exchange).
-    transfer(next,
-             bytes_of(std::span<const float>(
-                 circ_blocks_.data() + send_block * n, n)),
-             prev, std::span<float>(circ_blocks_.data() + recv_block * n, n));
+    transfer(next, bytes_of(views_[send_block]), prev, blocks_[recv_block]);
+    views_[recv_block] = blocks_[recv_block];
   }
-
-  // Rank-order fold — the shared helpers ThreadComm's allreduce uses, so
-  // cross-backend bitwise parity is structural.
-  std::copy(circ_blocks_.begin(), circ_blocks_.begin() + static_cast<ptrdiff_t>(n),
-            data.begin());
-  for (int r = 1; r < p; ++r) {
-    fold_contribution(
-        data,
-        std::span<const float>(circ_blocks_.data() + static_cast<size_t>(r) * n,
-                               n),
-        op);
-  }
-  finish_reduce(data, op, p);
-  if (span.active()) {
-    span.set_arg("bytes", data.size_bytes());
-    span.set_arg("wire_bytes", stats_.wire_sent_bytes +
-                                   stats_.wire_recv_bytes - wire_before);
-  }
+  return views_;
 }
 
-void SocketComm::allgather_into(std::span<const float> send,
-                                std::vector<float>& recv) {
-  stats_.allgather_calls++;
-  stats_.allgather_bytes += send.size_bytes();
-  if (size_ == 1) {
-    recv.assign(send.begin(), send.end());
-    return;
-  }
-  DKFAC_TRACE_SCOPE_NAMED(span, "socket.allgather.ring");
-  const uint64_t wire_before = stats_.wire_sent_bytes + stats_.wire_recv_bytes;
-
-  // Ring circulation with variable block sizes — the frame length prefix
-  // carries each block's size, so no separate size exchange is needed, and
-  // each incoming block is appended straight into its emptied
-  // gather_blocks_ entry. The entries are members so steady-state
-  // iterations (same per-rank sizes every exchange) reuse their
-  // capacities — no allocation once warm.
-  const int p = size_;
-  const int next = (rank_ + 1) % p;
-  const int prev = (rank_ - 1 + p) % p;
-  gather_blocks_.resize(static_cast<size_t>(p));
-  const std::span<const uint8_t> own = bytes_of(send);
-  gather_blocks_[static_cast<size_t>(rank_)].assign(own.begin(), own.end());
-  for (int s = 0; s < p - 1; ++s) {
-    const auto send_block = static_cast<size_t>((rank_ - s + p) % p);
-    std::vector<uint8_t>& block =
-        gather_blocks_[static_cast<size_t>((rank_ - s - 1 + p) % p)];
-    block.clear();
-    transfer(next, gather_blocks_[send_block], prev, block);
-    DKFAC_CHECK(block.size() % sizeof(float) == 0)
-        << "allgather block not float-aligned";
-  }
-
-  size_t total = 0;
-  for (const auto& b : gather_blocks_) total += b.size();
-  // resize + positional copy so a warm caller-owned buffer is refilled
-  // without touching the heap.
-  recv.resize(total / sizeof(float));
-  auto* dst = reinterpret_cast<uint8_t*>(recv.data());
-  for (const auto& b : gather_blocks_) dst = std::copy(b.begin(), b.end(), dst);
-  if (span.active()) {
-    span.set_arg("bytes", send.size_bytes());
-    span.set_arg("wire_bytes", stats_.wire_sent_bytes +
-                                   stats_.wire_recv_bytes - wire_before);
-  }
-}
-
-void SocketComm::broadcast(std::span<float> data, int root) {
-  DKFAC_CHECK(root >= 0 && root < size_)
-      << "broadcast root " << root << " out of range for size " << size_;
-  stats_.broadcast_calls++;
-  // Cross-backend payload convention: the root injected the payload, the
-  // other ranks contributed nothing (see CommStats).
-  if (rank_ == root) stats_.broadcast_bytes += data.size_bytes();
-  if (size_ == 1) return;
-  DKFAC_TRACE_SCOPE_NAMED(span, "socket.broadcast.tree");
-  const uint64_t wire_before = stats_.wire_sent_bytes + stats_.wire_recv_bytes;
-
+void SocketComm::do_broadcast(std::span<float> data, int root) {
   // Binomial tree over virtual ranks (vrank 0 = root).
   const int p = size_;
   const int vrank = (rank_ - root + p) % p;
@@ -275,16 +183,9 @@ void SocketComm::broadcast(std::span<float> data, int root) {
     }
     mask >>= 1;
   }
-  if (span.active()) {
-    span.set_arg("bytes", data.size_bytes());
-    span.set_arg("wire_bytes", stats_.wire_sent_bytes +
-                                   stats_.wire_recv_bytes - wire_before);
-  }
 }
 
-void SocketComm::barrier() {
-  if (size_ == 1) return;
-  DKFAC_TRACE_SCOPE("socket.barrier");
+void SocketComm::do_barrier() {
   // Dissemination barrier: ⌈log₂ p⌉ full-duplex rounds; after round k every
   // rank has transitively heard from all ranks within distance 2^(k+1).
   const int p = size_;

@@ -1,30 +1,28 @@
 // Multi-process TCP collective backend.
 //
-// SocketComm implements the full Communicator surface (allreduce /
-// allgather / broadcast / barrier) between genuinely separate processes
-// over localhost TCP — the backend that turns this reproduction from a
-// simulation of distribution (N ranks as N threads) into an actually
-// distributed system. Construction rendezvouses through a
-// net::RendezvousServer (rank assignment + peer table, see
+// SocketComm is the Communicator transport (see communicator.hpp) between
+// genuinely separate processes over localhost TCP — the backend that turns
+// this reproduction from a simulation of distribution (N ranks as N
+// threads) into an actually distributed system. Construction rendezvouses
+// through a net::RendezvousServer (rank assignment + peer table, see
 // net/rendezvous.hpp), then builds a full peer mesh: rank r dials every
 // lower rank and accepts from every higher one, each connection opening
 // with a versioned kHello so a mismatched build is rejected up front.
 //
-// Algorithms — one per collective. The allreduce reduces in EXACTLY
-// ThreadComm's order (a left fold over ranks 0..p-1), so results are
-// bitwise identical across backends:
+// The transport only moves bytes; Communicator folds, checks and counts.
+// One algorithm per part:
 //
-//   allreduce    ring circulation: p-1 full-duplex ring steps gather every
-//                rank's contribution, then each rank folds locally in rank
-//                order — ThreadComm's reduction verbatim, at one latency
-//                per step. Each rank sends (p-1)·n bytes, where a classic
-//                ring allreduce (reduce-scatter + allgather) sends
-//                2·(p-1)/p·n; but that ring folds each chunk in a ROTATED
-//                rank order, so it cannot match the thread backend bit for
-//                bit. Up to p = 4 the difference is at most 2×.
-//   allgather    ring circulation (variable block sizes — the frame length
-//                prefix carries each block's size), concatenated in rank
-//                order.
+//   exchange     ring circulation: p-1 full-duplex ring steps, each
+//                forwarding the block received the step before, so every
+//                rank's block reaches every rank (the frame length prefix
+//                carries each block's size). Incoming blocks land in
+//                per-rank buffers that stay valid as views until the next
+//                exchange. Every allreduce and allgather rides it: each
+//                rank sends (p-1)·n bytes, where a classic ring allreduce
+//                (reduce-scatter + allgather) sends 2·(p-1)/p·n; but that
+//                ring folds each chunk in a ROTATED rank order, so it
+//                cannot match the thread backend bit for bit. Up to p = 4
+//                the difference is at most 2×.
 //   broadcast    binomial tree rooted at `root`.
 //   barrier      dissemination (⌈log₂ p⌉ rounds).
 //
@@ -35,11 +33,11 @@
 // runs under Options::timeout_s — a dead peer or a desynchronised
 // collective surfaces as a dkfac::Error, never a hang.
 //
-// CommStats: the logical counters follow the cross-backend payload
-// convention (see communicator.hpp); wire_sent_bytes / wire_recv_bytes
-// additionally account every byte this rank really put on / took off the
-// wire, frame headers included — so packing savings (SymmetricPacker) and
-// fusion show up in real transport bytes, not just in modelled ones.
+// CommStats: Communicator counts the logical payload; SocketComm fills
+// only wire_sent_bytes / wire_recv_bytes, every byte this rank really put
+// on / took off the wire, frame headers included — so packing savings
+// (SymmetricPacker) and fusion show up in real transport bytes, not just
+// in modelled ones.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +78,6 @@ struct SocketOptions {
 
 class SocketComm final : public Communicator {
  public:
-  using Communicator::allreduce;
-  using Communicator::broadcast;
-
   /// Rendezvouses and builds the peer mesh; returns only once every
   /// connection is up and verified (the constructor ends with a barrier).
   explicit SocketComm(const SocketOptions& options);
@@ -93,11 +88,11 @@ class SocketComm final : public Communicator {
   int generation() const { return generation_; }
   const CostModel& cost_model() const override { return options_.cost; }
 
-  void allreduce(std::span<float> data, ReduceOp op) override;
-  void allgather_into(std::span<const float> send,
-                      std::vector<float>& recv) override;
-  void broadcast(std::span<float> data, int root) override;
-  void barrier() override;
+ protected:
+  Views exchange(std::span<const float> send) override;
+  void end_exchange() override {}
+  void do_broadcast(std::span<float> data, int root) override;
+  void do_barrier() override;
 
  private:
   Socket& peer(int r);
@@ -118,11 +113,12 @@ class SocketComm final : public Communicator {
   std::vector<Socket> peers_;        // by rank; the self slot stays invalid
   std::vector<uint32_t> send_seq_;   // per-peer frames sent
   std::vector<uint32_t> recv_seq_;   // per-peer frames received
-  // Scratch reused across collectives — the gradient/factor exchange hits
-  // these paths every iteration, so steady state must not allocate (the
-  // buffers converge to the largest payload seen and stay there).
-  std::vector<float> circ_blocks_;   // p·n allreduce circulation blocks
-  std::vector<std::vector<uint8_t>> gather_blocks_;  // allgather, by rank
+  // The exchange's received blocks (by rank; this rank's stays empty) and
+  // its views, reused across collectives — the gradient/factor exchange
+  // hits them every iteration, so steady state must not allocate (each
+  // block converges to the largest its rank sends and stays there).
+  std::vector<std::vector<float>> blocks_;
+  std::vector<std::span<const float>> views_;
 };
 
 }  // namespace dkfac::comm::net

@@ -192,6 +192,15 @@ void FrameHeader::check(FrameType expected_type, uint32_t expected_seq,
       << " bytes, expected " << *expected_length;
 }
 
+void FrameHeader::check_payload(std::span<const uint8_t> payload,
+                                const char* context) const {
+  const uint32_t actual = crc32(payload);
+  DKFAC_CHECK(actual == checksum)
+      << context << ": frame checksum mismatch: payload corrupted in transit "
+      << "(expected 0x" << std::hex << checksum << ", got 0x" << actual
+      << ")";
+}
+
 // ---- Socket ---------------------------------------------------------------
 
 Socket::Socket(int fd) : fd_(fd) {
@@ -422,14 +431,21 @@ size_t transfer_frames(Socket* to, FrameType send_type, uint32_t send_seq,
       if (recv_pos == kFrameHeaderBytes) {
         recv_header = FrameHeader::decode(recv_raw);
         std::vector<uint8_t>* append = recv_dst.append;
+        const bool fixed = append == nullptr && recv_dst.floats == nullptr;
         recv_header.check(recv_type, recv_seq,
-                          append ? std::nullopt
-                                 : std::optional<size_t>(recv_dst.fixed.size()),
+                          fixed ? std::optional<size_t>(recv_dst.fixed.size())
+                                : std::nullopt,
                           what);
         if (append != nullptr) {
           const size_t base = append->size();
           append->resize(base + recv_header.length);
           recv_payload = append->data() + base;
+        } else if (recv_dst.floats != nullptr) {
+          DKFAC_CHECK(recv_header.length % sizeof(float) == 0)
+              << what << ": frame payload of " << recv_header.length
+              << " bytes is not whole floats";
+          recv_dst.floats->resize(recv_header.length / sizeof(float));
+          recv_payload = reinterpret_cast<uint8_t*>(recv_dst.floats->data());
         } else {
           recv_payload = recv_dst.fixed.data();
         }
@@ -468,11 +484,7 @@ size_t transfer_frames(Socket* to, FrameType send_type, uint32_t send_seq,
     }
     if (receiving) {
       side = FrameSide::kRecv;
-      const uint32_t actual = crc32({recv_payload, recv_header.length});
-      DKFAC_CHECK(actual == recv_header.checksum)
-          << what << ": frame checksum mismatch: payload corrupted in transit "
-          << "(expected 0x" << std::hex << recv_header.checksum << ", got 0x"
-          << actual << ")";
+      recv_header.check_payload({recv_payload, recv_header.length}, what);
     }
   } catch (const Error& e) {
     throw FrameError(side, e.what());

@@ -65,6 +65,11 @@ struct FrameHeader {
   /// prefixed with `context` on the first mismatch.
   void check(FrameType type, uint32_t seq, std::optional<size_t> length,
              const char* context) const;
+  /// The one check a received payload passes once it has landed: its
+  /// CRC-32 against `checksum`. Throws dkfac::Error prefixed with
+  /// `context`.
+  void check_payload(std::span<const uint8_t> payload,
+                     const char* context) const;
 };
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`.
@@ -169,18 +174,20 @@ class ListenSocket {
 // real bytes-on-wire in CommStats.
 
 /// Where a received payload lands: in place in `fixed`, whose size the
-/// frame's length must equal, or — when `append` is set — appended to
-/// *append, whatever its length. Implicit, so a span or a vector passes as
-/// it is.
+/// frame's length must equal; appended to *append, whatever its length; or
+/// in *floats, resized to the payload, which must be whole floats.
+/// Implicit, so a span or a vector passes as it is.
 struct FrameDst {
   FrameDst() = default;
   FrameDst(std::span<uint8_t> bytes) : fixed(bytes) {}
   FrameDst(std::span<float> floats)
       : fixed(reinterpret_cast<uint8_t*>(floats.data()), floats.size_bytes()) {}
   FrameDst(std::vector<uint8_t>& grow) : append(&grow) {}
+  FrameDst(std::vector<float>& resize) : floats(&resize) {}
 
   std::span<uint8_t> fixed;
   std::vector<uint8_t>* append = nullptr;
+  std::vector<float>* floats = nullptr;
 };
 
 /// The side of a transfer_frames call that failed.

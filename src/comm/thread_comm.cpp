@@ -1,5 +1,6 @@
 #include "comm/thread_comm.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <thread>
 
@@ -7,98 +8,28 @@
 
 namespace dkfac::comm {
 
-void ThreadComm::allreduce(std::span<float> data, ReduceOp op) {
+Communicator::Views ThreadComm::exchange(std::span<const float> send) {
+  // Publish this rank's view, wait for everyone's, and read them all in
+  // place: no rank overwrites its slot or its buffer before
+  // end_exchange()'s barrier.
   auto& st = *state_;
-  stats_.allreduce_calls++;
-  stats_.allreduce_bytes += data.size_bytes();
-  if (st.size == 1) return;
-
-  // Publish this rank's buffer, wait for everyone, then every rank reduces
-  // all contributions in rank order into a private scratch buffer. Doing
-  // the full reduction on every rank (instead of scatter-reduce) costs
-  // O(P·n) per rank but is deterministic and identical across ranks, which
-  // the reproducibility tests rely on.
-  st.send_slots[static_cast<size_t>(rank_)] = data;
+  st.slots[static_cast<size_t>(rank_)] = send;
   st.barrier.arrive_and_wait();
-
-  // Rank 0's contribution seeds the scratch, so no zero-fill pass is needed
-  // and the buffer can be reused allocation-free across calls. The fold
-  // itself is the shared fold_contribution/finish_reduce — the definition
-  // every backend (and the encoded collective) must match bit for bit.
-  reduce_scratch_.resize(data.size());
-  std::vector<float>& result = reduce_scratch_;
-  for (int r = 0; r < st.size; ++r) {
-    const auto src = st.send_slots[static_cast<size_t>(r)];
-    DKFAC_CHECK(src.size() == data.size())
-        << "allreduce length mismatch: rank " << r << " sent " << src.size()
-        << " elements, rank " << rank_ << " sent " << data.size();
-    if (r == 0) {
-      std::copy(src.begin(), src.end(), result.begin());
-    } else {
-      fold_contribution(result, src, op);
-    }
-  }
-  finish_reduce(result, op, st.size);
-
-  // All ranks finished reading every slot before anyone overwrites `data`.
-  st.barrier.arrive_and_wait();
-  std::copy(result.begin(), result.end(), data.begin());
-  st.barrier.arrive_and_wait();
+  return st.slots;
 }
 
-void ThreadComm::allgather_into(std::span<const float> send,
-                                std::vector<float>& recv) {
+void ThreadComm::do_broadcast(std::span<float> data, int root) {
   auto& st = *state_;
-  stats_.allgather_calls++;
-  stats_.allgather_bytes += send.size_bytes();
-  if (st.size == 1) {
-    recv.assign(send.begin(), send.end());
-    return;
-  }
-
-  st.send_slots[static_cast<size_t>(rank_)] = send;
+  if (rank_ == root) st.slots[static_cast<size_t>(root)] = data;
   st.barrier.arrive_and_wait();
-
-  size_t total = 0;
-  for (int r = 0; r < st.size; ++r) total += st.send_slots[static_cast<size_t>(r)].size();
-  // resize + positional copy (not clear/insert) so a warm caller-owned
-  // buffer of the right capacity is refilled without touching the heap.
-  recv.resize(total);
-  size_t offset = 0;
-  for (int r = 0; r < st.size; ++r) {
-    const auto src = st.send_slots[static_cast<size_t>(r)];
-    std::copy(src.begin(), src.end(), recv.begin() + static_cast<ptrdiff_t>(offset));
-    offset += src.size();
-  }
-
+  const std::span<const float> src = st.slots[static_cast<size_t>(root)];
+  const bool fits = src.size() == data.size();
+  if (rank_ != root && fits) std::copy(src.begin(), src.end(), data.begin());
+  // A mis-sized rank throws only after the second barrier, so the root
+  // and the other ranks are not left waiting for it.
   st.barrier.arrive_and_wait();
-}
-
-void ThreadComm::broadcast(std::span<float> data, int root) {
-  auto& st = *state_;
-  DKFAC_CHECK(root >= 0 && root < st.size)
-      << "broadcast root " << root << " out of range for size " << st.size;
-  stats_.broadcast_calls++;
-  // Cross-backend payload convention (see CommStats): the root injected
-  // the payload, receiving ranks contributed nothing. Counting on every
-  // rank would inflate the group-wide sum p× relative to allreduce and
-  // allgather, whose counters already sum to the injected payload.
-  if (rank_ == root) stats_.broadcast_bytes += data.size_bytes();
-  if (st.size == 1) return;
-
-  if (rank_ == root) {
-    st.send_slots[static_cast<size_t>(root)] = data;
-  }
-  st.barrier.arrive_and_wait();
-
-  if (rank_ != root) {
-    const auto src = st.send_slots[static_cast<size_t>(root)];
-    DKFAC_CHECK(src.size() == data.size())
-        << "broadcast length mismatch: root sent " << src.size()
-        << ", rank " << rank_ << " expected " << data.size();
-    std::copy(src.begin(), src.end(), data.begin());
-  }
-  st.barrier.arrive_and_wait();
+  DKFAC_CHECK(fits) << "broadcast length mismatch: root sent " << src.size()
+                    << ", rank " << rank_ << " expected " << data.size();
 }
 
 LocalGroup::LocalGroup(int size)

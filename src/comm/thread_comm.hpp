@@ -3,7 +3,11 @@
 // Semantics match an MPI/Horovod communicator: every collective is a
 // synchronisation point, contributions are combined in rank order (so runs
 // are bit-reproducible regardless of thread scheduling), and each rank owns
-// its Communicator object.
+// its Communicator object. ThreadComm is only a transport (see
+// communicator.hpp): ranks publish views of their buffers in shared slots
+// and read each other's in place. Its exchange, broadcast and barrier all
+// wait in one detail::Barrier: an exchange twice (publish, then release at
+// end_exchange), a broadcast twice, a barrier once.
 #pragma once
 
 #include <condition_variable>
@@ -47,14 +51,12 @@ class Barrier {
 /// State shared by all ranks of one LocalGroup.
 struct GroupState {
   explicit GroupState(int size)
-      : size(size), barrier(size), send_slots(static_cast<size_t>(size)),
-        recv_slots(static_cast<size_t>(size)) {}
+      : size(size), barrier(size), slots(static_cast<size_t>(size)) {}
 
   int size;
   Barrier barrier;
   // Published per-rank views for the collective in flight.
-  std::vector<std::span<const float>> send_slots;
-  std::vector<std::span<float>> recv_slots;
+  std::vector<std::span<const float>> slots;
 };
 
 }  // namespace detail
@@ -64,9 +66,6 @@ class LocalGroup;
 /// One rank's endpoint in a LocalGroup.
 class ThreadComm final : public Communicator {
  public:
-  using Communicator::allreduce;
-  using Communicator::broadcast;
-
   int rank() const override { return rank_; }
   int size() const override { return state_->size; }
 
@@ -77,11 +76,11 @@ class ThreadComm final : public Communicator {
     return kModel;
   }
 
-  void allreduce(std::span<float> data, ReduceOp op) override;
-  void allgather_into(std::span<const float> send,
-                      std::vector<float>& recv) override;
-  void broadcast(std::span<float> data, int root) override;
-  void barrier() override { state_->barrier.arrive_and_wait(); }
+ protected:
+  Views exchange(std::span<const float> send) override;
+  void end_exchange() override { state_->barrier.arrive_and_wait(); }
+  void do_broadcast(std::span<float> data, int root) override;
+  void do_barrier() override { state_->barrier.arrive_and_wait(); }
 
  private:
   friend class LocalGroup;
@@ -90,9 +89,6 @@ class ThreadComm final : public Communicator {
 
   int rank_;
   std::shared_ptr<detail::GroupState> state_;
-  /// Reduction scratch reused across allreduce calls — the factor/gradient
-  /// exchange hits this path every iteration, so it must not allocate.
-  std::vector<float> reduce_scratch_;
 };
 
 /// Factory/owner of a fixed-size thread communicator group.

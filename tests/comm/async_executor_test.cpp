@@ -246,7 +246,8 @@ TEST(AsyncExecutor, StatsCountSubmissionsAndBatches) {
   EXPECT_GE(stats.overlap_won_seconds(), 0.0);
 }
 
-/// Communicator whose allreduce fails after a configurable number of
+/// Two-rank transport whose peer echoes this rank's block, so an average
+/// is the identity. Its exchange fails after a configurable number of
 /// successes — exercises worker-thread exception propagation.
 class FailingComm final : public Communicator {
  public:
@@ -254,25 +255,23 @@ class FailingComm final : public Communicator {
       : remaining_(successes_before_failure) {}
 
   int rank() const override { return 0; }
-  int size() const override { return 1; }
+  int size() const override { return 2; }
 
-  void allreduce(std::span<float> data, ReduceOp op) override {
-    (void)data;
-    (void)op;
+ protected:
+  Views exchange(std::span<const float> send) override {
     if (remaining_-- <= 0) {
       DKFAC_CHECK(false) << "injected collective failure";
     }
+    views_ = {send, send};
+    return views_;
   }
-
-  void allgather_into(std::span<const float> send,
-                      std::vector<float>& recv) override {
-    recv.assign(send.begin(), send.end());
-  }
-  void broadcast(std::span<float>, int) override {}
-  void barrier() override {}
+  void end_exchange() override {}
+  void do_broadcast(std::span<float>, int) override {}
+  void do_barrier() override {}
 
  private:
   int remaining_;
+  std::vector<std::span<const float>> views_;
 };
 
 TEST(AsyncExecutor, PropagatesWorkerExceptionOnWait) {
@@ -301,22 +300,27 @@ TEST(AsyncExecutor, ErrorDoesNotWedgeLaterSubmissions) {
 }
 
 TEST(AsyncExecutor, OverlapsCommunicationWithMainThreadCompute) {
-  /// Communicator with a slow allreduce: if the pipeline really runs in
-  /// the background, main-thread work proceeds while the collective
-  /// sleeps, and wait() blocks for (almost) nothing afterwards.
+  /// Two-rank transport with a slow exchange (the peer echoes this rank's
+  /// block): if the pipeline really runs in the background, main-thread
+  /// work proceeds while the collective sleeps, and wait() blocks for
+  /// (almost) nothing afterwards.
   class SlowComm final : public Communicator {
    public:
     int rank() const override { return 0; }
-    int size() const override { return 1; }
-    void allreduce(std::span<float>, ReduceOp) override {
+    int size() const override { return 2; }
+
+   protected:
+    Views exchange(std::span<const float> send) override {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      views_ = {send, send};
+      return views_;
     }
-    void allgather_into(std::span<const float> send,
-                        std::vector<float>& recv) override {
-      recv.assign(send.begin(), send.end());
-    }
-    void broadcast(std::span<float>, int) override {}
-    void barrier() override {}
+    void end_exchange() override {}
+    void do_broadcast(std::span<float>, int) override {}
+    void do_barrier() override {}
+
+   private:
+    std::vector<std::span<const float>> views_;
   };
 
   SlowComm comm;

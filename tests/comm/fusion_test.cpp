@@ -127,36 +127,31 @@ TEST(FusionBuffer, EmptyViewsAreIgnored) {
   });
 }
 
-/// Size-1 communicator that throws on the first allreduce, then acts as
-/// the identity (SelfComm is final, so this reimplements its surface).
+/// Two-rank transport whose exchange throws the first time; after that
+/// its peer contributes zeros, so a sum is the identity.
 class FlakyComm final : public Communicator {
  public:
-  using Communicator::allreduce;
-  using Communicator::broadcast;
-
   int rank() const override { return 0; }
-  int size() const override { return 1; }
+  int size() const override { return 2; }
 
-  void allreduce(std::span<float> data, ReduceOp op) override {
+ protected:
+  Views exchange(std::span<const float> send) override {
     if (!failed_once_) {
       failed_once_ = true;
       throw Error("injected allreduce failure");
     }
-    stats_.allreduce_calls++;
-    stats_.allreduce_bytes += data.size_bytes();
-    (void)op;
+    zeros_.assign(send.size(), 0.0f);
+    views_ = {send, zeros_};
+    return views_;
   }
-
-  void allgather_into(std::span<const float> send,
-                      std::vector<float>& recv) override {
-    recv.assign(send.begin(), send.end());
-  }
-
-  void broadcast(std::span<float>, int) override {}
-  void barrier() override {}
+  void end_exchange() override {}
+  void do_broadcast(std::span<float>, int) override {}
+  void do_barrier() override {}
 
  private:
   bool failed_once_ = false;
+  std::vector<float> zeros_;
+  std::vector<std::span<const float>> views_;
 };
 
 TEST(FusionBuffer, ThrowingCollectiveClearsRegistrations) {
@@ -174,7 +169,7 @@ TEST(FusionBuffer, ThrowingCollectiveClearsRegistrations) {
   fusion.add(c);
   fusion.execute(ReduceOp::kSum);
   EXPECT_EQ(fusion.last_chunk_count(), 1u);
-  EXPECT_FLOAT_EQ(c[0], 5.0f);  // SelfComm allreduce is identity
+  EXPECT_FLOAT_EQ(c[0], 5.0f);  // the peer contributed zeros
 }
 
 // ---- codec-encoded payloads -----------------------------------------------

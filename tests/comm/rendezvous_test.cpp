@@ -84,6 +84,24 @@ TEST(Rendezvous, GarbageHelloDropsOnlyThatClient) {
   send_frame(wrong_type, FrameType::kData, /*seq=*/0,
              std::span<const uint8_t>(payload), 2.0);
 
+  // Evil client 3: a hello for this world with a well-formed header whose
+  // checksum is wrong. Taken for a worker, it would be the group's rank 0
+  // with data port 9999.
+  Socket bad_crc = Socket::connect_to("127.0.0.1", server.port(), 2.0);
+  std::vector<uint8_t> hello;
+  put_u32(hello, /*world=*/1);
+  put_u32(hello, static_cast<uint32_t>(-1));
+  put_u16(hello, 9999);
+  FrameHeader header;
+  header.type = static_cast<uint16_t>(FrameType::kHello);
+  header.length = static_cast<uint32_t>(hello.size());
+  header.checksum = crc32(hello) ^ 1u;
+  std::vector<uint8_t> frame(kFrameHeaderBytes);
+  header.encode(frame.data());
+  frame.insert(frame.end(), hello.begin(), hello.end());
+  ASSERT_EQ(::send(bad_crc.fd(), frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+
   std::thread worker([&] {
     const RendezvousInfo info = rendezvous_connect(
         "127.0.0.1", server.port(), /*world=*/1, -1, 4321, 5.0);
@@ -94,6 +112,9 @@ TEST(Rendezvous, GarbageHelloDropsOnlyThatClient) {
   server.serve(/*world_size=*/1, /*timeout_s=*/5.0);
   EXPECT_LT(seconds_since(start), 4.0);
   worker.join();
+  // The bad-checksum client was dropped: it reads EOF.
+  uint8_t probe = 0;
+  EXPECT_EQ(::recv(bad_crc.fd(), &probe, 1, 0), 0);
 }
 
 TEST(Rendezvous, ElasticGenerationsStampWelcomesAndIncrement) {

@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "comm/thread_comm.hpp"
 #include "common/clock.hpp"
 #include "common/error.hpp"
+#include "obs/trace.hpp"
 
 namespace dkfac::comm::net {
 namespace {
@@ -60,7 +63,7 @@ std::vector<float> contribution(int rank, size_t n) {
   return v;
 }
 
-/// ThreadComm::allreduce's reduction, verbatim: seed with rank 0, fold
+/// Communicator::allreduce's reduction, verbatim: seed with rank 0, fold
 /// ranks 1..p-1 in order, scale last for kAverage.
 std::vector<float> golden_allreduce(int p, size_t n, ReduceOp op) {
   std::vector<float> result = contribution(0, n);
@@ -209,6 +212,68 @@ TEST(SocketComm, StatsFollowPayloadAndWireConventions) {
     EXPECT_GT(stats.wire_recv_bytes, 0u);
   });
   EXPECT_EQ(status, 0);
+}
+
+TEST(SocketComm, MisSizedAllreduceThrowsOnEveryRank) {
+  // 3, 5 and 4 floats, as in the thread test: every rank receives every
+  // block whole, so every rank throws and the wire stays in step for the
+  // next collective.
+  const std::vector<size_t> sent{3, 5, 4};
+  for (const bool encoded : {false, true}) {
+    const int status = run_ranks_checked(3, [&](Communicator& comm) {
+      std::vector<float> data(sent[static_cast<size_t>(comm.rank())], 1.0f);
+      if (encoded) {
+        EXPECT_THROW(
+            comm.allreduce_encoded(data, Precision::kBf16, ReduceOp::kSum),
+            Error);
+      } else {
+        EXPECT_THROW(comm.allreduce(data, ReduceOp::kSum), Error);
+      }
+      std::vector<float> after(2, 1.0f);
+      comm.allreduce(after, ReduceOp::kSum);
+      EXPECT_EQ(after[0], 3.0f);
+    });
+    EXPECT_EQ(status, 0) << (encoded ? "allreduce_encoded" : "allreduce");
+  }
+}
+
+/// Runs each collective once; each call must add exactly one span
+/// aggregate on the calling thread, under its own comm.* name only.
+void expect_one_span_per_collective(Communicator& comm) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  const std::array<const char*, 4> names{"comm.allreduce", "comm.allgather",
+                                         "comm.broadcast", "comm.barrier"};
+  const auto counts = [&] {
+    std::array<uint64_t, 4> c{};
+    for (size_t i = 0; i < names.size(); ++i) {
+      c[i] = tracer.thread_totals(tracer.intern(names[i])).count;
+    }
+    return c;
+  };
+  std::vector<float> data(16, 1.0f);
+  std::vector<float> gathered;
+  const std::array<std::function<void()>, 4> calls{
+      [&] { comm.allreduce(data, ReduceOp::kSum); },
+      [&] { comm.allgather_into(data, gathered); },
+      [&] { comm.broadcast(data, /*root=*/0); },
+      [&] { comm.barrier(); },
+  };
+  for (size_t call = 0; call < calls.size(); ++call) {
+    const std::array<uint64_t, 4> before = counts();
+    calls[call]();
+    const std::array<uint64_t, 4> after = counts();
+    for (size_t i = 0; i < names.size(); ++i) {
+      EXPECT_EQ(after[i] - before[i], i == call ? 1u : 0u)
+          << names[i] << " after " << names[call] << " on rank "
+          << comm.rank();
+    }
+  }
+}
+
+TEST(Communicator, OneCommSpanPerCollectiveOnBothBackends) {
+  LocalGroup group(2);
+  group.run([](int, Communicator& comm) { expect_one_span_per_collective(comm); });
+  EXPECT_EQ(run_ranks_checked(2, expect_one_span_per_collective), 0);
 }
 
 TEST(SocketComm, RendezvousHonoursRequestedRanks) {

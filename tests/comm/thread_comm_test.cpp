@@ -303,6 +303,33 @@ TEST(ThreadComm, LengthMismatchThrows) {
       Error);
 }
 
+TEST(ThreadComm, MisSizedAllreduceThrowsOnEveryRank) {
+  // 3, 5 and 4 floats: 12 = 3·4, so a check of the exchanged total alone
+  // would pass rank 2 and fold misaligned blocks there. Every rank must
+  // throw, and the group must stay usable.
+  const std::vector<size_t> sent{3, 5, 4};
+  for (const bool encoded : {false, true}) {
+    LocalGroup group(3);
+    std::atomic<int> threw{0};
+    group.run([&](int rank, Communicator& comm) {
+      std::vector<float> data(sent[static_cast<size_t>(rank)], 1.0f);
+      try {
+        if (encoded) {
+          comm.allreduce_encoded(data, Precision::kBf16, ReduceOp::kSum);
+        } else {
+          comm.allreduce(data, ReduceOp::kSum);
+        }
+      } catch (const Error&) {
+        threw.fetch_add(1);
+      }
+      std::vector<float> after(2, 1.0f);
+      comm.allreduce(after, ReduceOp::kSum);
+      EXPECT_EQ(after[0], 3.0f);
+    });
+    EXPECT_EQ(threw.load(), 3) << (encoded ? "allreduce_encoded" : "allreduce");
+  }
+}
+
 TEST(ThreadComm, RunPropagatesExceptions) {
   LocalGroup group(2);
   EXPECT_THROW(group.run([&](int rank, Communicator& comm) {
@@ -322,7 +349,8 @@ TEST(ThreadComm, InvalidRankThrows) {
 TEST(ThreadComm, BroadcastInvalidRootThrows) {
   SelfComm comm;
   std::vector<float> data(1);
-  // SelfComm has no root check beyond its own semantics; LocalGroup does.
+  // Communicator checks the root for every backend, a size-1 one included.
+  EXPECT_THROW(comm.broadcast(data, 5), Error);
   LocalGroup group(2);
   EXPECT_THROW(group.run([&](int, Communicator& c) {
                  std::vector<float> d(1);
