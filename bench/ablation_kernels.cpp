@@ -18,8 +18,16 @@
 // micro-kernel is picked from the CPU at run time. Each syrk row is timed
 // once per Gram micro-kernel this build and CPU support, through
 // detail::syrk_with, and records the kernel it ran; the legacy column of a
-// syrk row is the seed's full gemm (it had no syrk). Results land in
-// BENCH_kernels.json so the kernel-perf trajectory is a recorded artifact.
+// syrk row is the seed's full gemm (it had no syrk).
+// The conv rows time the six products Conv2d runs for the stage-1 and
+// stage-3 3×3 convs of that ResNet-8 (M×K×N: forward W·patches, weight
+// gradient grad·patchesᵀ, input gradient Wᵀ·grad), once per fp32 gemm
+// kernel this build and CPU support, through detail::gemm_with. Their
+// baseline is not the seed but the AVX2 kernel in this binary, timed in
+// alternation with the kernel under test. Results land in
+// BENCH_kernels.json so the kernel-perf trajectory is a recorded artifact;
+// each row names its baseline ("seed" or "avx2") and, where one ran, the
+// micro-kernel ("isa").
 //
 // This file is compiled WITHOUT the native-arch flags (bench/ uses the
 // default arch), so "legacy" is measured exactly as the seed built it.
@@ -29,6 +37,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -141,12 +150,35 @@ double time_ms(Fn&& fn, int repeats) {
   return times[times.size() / 2];
 }
 
+/// Interleaved medians for two functions: one untimed warm-up each, then
+/// `repeats` rounds that time `base` and `test` back to back, so drift in
+/// the machine's speed lands on both.
+template <typename Base, typename Test>
+std::pair<double, double> time_pair_ms(Base&& base, Test&& test, int repeats) {
+  base();
+  test();
+  std::vector<double> base_ms;
+  std::vector<double> test_ms;
+  for (int r = 0; r < repeats; ++r) {
+    auto start = Clock::now();
+    base();
+    base_ms.push_back(seconds_since(start) * 1e3);
+    start = Clock::now();
+    test();
+    test_ms.push_back(seconds_since(start) * 1e3);
+  }
+  std::sort(base_ms.begin(), base_ms.end());
+  std::sort(test_ms.begin(), test_ms.end());
+  return {base_ms[base_ms.size() / 2], test_ms[test_ms.size() / 2]};
+}
+
 struct Row {
   std::string kernel;
   double legacy_ms = 0.0;
   double new_ms = 0.0;
   double flops = 0.0;  // 0 → report ms only
-  const char* gram_kernel = nullptr;  // the Gram micro-kernel of a syrk row
+  const char* isa = nullptr;  // the micro-kernel that ran, where one is picked
+  const char* baseline = "seed";  // what legacy_ms timed: seed code or avx2
 };
 
 /// One syrk row per Gram micro-kernel the CPU supports; `legacy_ms` is the
@@ -160,13 +192,40 @@ void add_syrk_rows(std::vector<Row>& rows, const std::string& name,
   for (gram::GramKernel kernel : gram::kGramKernels) {
     if (!gram::gram_kernel_available(kernel)) continue;
     Row row{name, legacy_ms, 0.0, 2.0 * static_cast<double>(k) * n * n,
-            gram::gram_kernel_name(kernel)};
+            gram::gram_kernel_name(kernel), "seed"};
     row.new_ms = time_ms(
         [&] {
           gram::syrk_with(kernel, 1.0f / static_cast<float>(k), a, trans, 0.0f, c);
         },
         reps);
     rows.push_back(row);
+  }
+}
+
+/// One conv-product row per fp32 gemm kernel the CPU supports, each timed
+/// against the AVX2 kernel (the AVX2 row times it against itself).
+void add_conv_rows(std::vector<Row>& rows, const std::string& name, int64_t m,
+                   int64_t k, int64_t n, Trans ta, Trans tb, int reps) {
+  namespace gk = linalg::detail;
+  Rng rng(6);
+  const Tensor a = ta == Trans::kNo ? Tensor::randn(Shape{m, k}, rng)
+                                    : Tensor::randn(Shape{k, m}, rng);
+  const Tensor b = tb == Trans::kNo ? Tensor::randn(Shape{k, n}, rng)
+                                    : Tensor::randn(Shape{n, k}, rng);
+  Tensor c(Shape{m, n});
+  const auto run = [&](gk::GramKernel kernel) {
+    return [&, kernel] { gk::gemm_with(kernel, 1.0f, a, ta, b, tb, 0.0f, c); };
+  };
+  for (gk::GramKernel kernel : gk::kGramKernels) {
+    if (!gk::gram_kernel_available(kernel) ||
+        !gk::gram_kernel_available(gk::GramKernel::kAvx2)) {
+      continue;
+    }
+    const auto [avx2_ms, kernel_ms] =
+        time_pair_ms(run(gk::GramKernel::kAvx2), run(kernel), reps);
+    rows.push_back(Row{name, avx2_ms, kernel_ms,
+                       2.0 * static_cast<double>(m) * k * n,
+                       gk::gram_kernel_name(kernel), "avx2"});
   }
 }
 
@@ -187,6 +246,8 @@ int main() {
 
   std::vector<Row> rows;
   const int reps = 5;
+  const char* gemm_isa =
+      linalg::detail::gram_kernel_name(linalg::detail::gram_kernel_selected());
 
   // Square GEMM (the im2col forward/backward shape). 512 is the acceptance
   // shape; 128/256 show the trend.
@@ -196,7 +257,7 @@ int main() {
     Tensor b = Tensor::randn(Shape{n, n}, rng);
     Tensor c(Shape{n, n});
     Row row{"gemm_nn_" + std::to_string(n), 0, 0,
-            2.0 * static_cast<double>(n) * n * n};
+            2.0 * static_cast<double>(n) * n * n, gemm_isa};
     row.legacy_ms = time_ms(
         [&] { legacy_gemm(1.0f, a, Trans::kNo, b, Trans::kNo, 0.0f, c); }, reps);
     row.new_ms = time_ms(
@@ -213,7 +274,7 @@ int main() {
     Tensor a = Tensor::randn(Shape{r, d}, rng);
     Tensor c(Shape{d, d});
     const double flops = 2.0 * static_cast<double>(r) * d * d;
-    Row gemm_row{"gemm_ata_4096x" + std::to_string(d), 0, 0, flops};
+    Row gemm_row{"gemm_ata_4096x" + std::to_string(d), 0, 0, flops, gemm_isa};
     gemm_row.legacy_ms = time_ms(
         [&] {
           legacy_gemm(1.0f / r, a, Trans::kYes, a, Trans::kNo, 0.0f, c);
@@ -244,6 +305,27 @@ int main() {
         reps);
     add_syrk_rows(rows, "syrk_aat_" + std::to_string(d) + "x" + std::to_string(cols),
                   a, Trans::kNo, legacy_ms, reps);
+  }
+
+  // The conv lowering's products (M×K×N): stage 1 (8 channels, 16×16
+  // images, batch 32) and stage 3 (32 channels, 4×4).
+  for (const auto& [m, k, n, ta, tb, what] :
+       {std::tuple{int64_t{8}, int64_t{72}, int64_t{8192}, Trans::kNo,
+                   Trans::kNo, "fwd"},
+        std::tuple{int64_t{8}, int64_t{8192}, int64_t{72}, Trans::kNo,
+                   Trans::kYes, "dw"},
+        std::tuple{int64_t{72}, int64_t{8}, int64_t{8192}, Trans::kYes,
+                   Trans::kNo, "dx"},
+        std::tuple{int64_t{32}, int64_t{288}, int64_t{512}, Trans::kNo,
+                   Trans::kNo, "fwd"},
+        std::tuple{int64_t{32}, int64_t{512}, int64_t{288}, Trans::kNo,
+                   Trans::kYes, "dw"},
+        std::tuple{int64_t{288}, int64_t{32}, int64_t{512}, Trans::kYes,
+                   Trans::kNo, "dx"}}) {
+    add_conv_rows(rows,
+                  std::string("conv_") + what + "_" + std::to_string(m) + "x" +
+                      std::to_string(k) + "x" + std::to_string(n),
+                  m, k, n, ta, tb, 15);
   }
 
   // gemv and transpose (satellite kernels).
@@ -288,13 +370,13 @@ int main() {
   }
 
   // ---- report -------------------------------------------------------------
-  std::printf("\n%-22s %-9s %12s %12s %10s %10s %9s\n", "kernel", "gram",
-              "legacy ms", "new ms", "legacy GF", "new GF", "speedup");
+  std::printf("\n%-24s %-9s %-8s %12s %12s %10s %10s %9s\n", "kernel", "isa",
+              "baseline", "base ms", "new ms", "base GF", "new GF", "speedup");
   for (const Row& row : rows) {
     const double speedup =
         row.legacy_ms > 0.0 && row.new_ms > 0.0 ? row.legacy_ms / row.new_ms : 0.0;
-    std::printf("%-22s %-9s %12.3f %12.3f %10.2f %10.2f %8.2fx\n",
-                row.kernel.c_str(), row.gram_kernel ? row.gram_kernel : "-",
+    std::printf("%-24s %-9s %-8s %12.3f %12.3f %10.2f %10.2f %8.2fx\n",
+                row.kernel.c_str(), row.isa ? row.isa : "-", row.baseline,
                 row.legacy_ms, row.new_ms, gflops(row.flops, row.legacy_ms),
                 gflops(row.flops, row.new_ms), speedup);
   }
@@ -309,14 +391,15 @@ int main() {
       const double speedup =
           row.legacy_ms > 0.0 && row.new_ms > 0.0 ? row.legacy_ms / row.new_ms
                                                   : 0.0;
-      const std::string gram_kernel =
-          row.gram_kernel ? "\"" + std::string(row.gram_kernel) + "\"" : "null";
+      const std::string isa =
+          row.isa ? "\"" + std::string(row.isa) + "\"" : "null";
       std::fprintf(json,
-                   "    {\"kernel\": \"%s\", \"gram_kernel\": %s, "
+                   "    {\"kernel\": \"%s\", \"isa\": %s, "
+                   "\"baseline\": \"%s\", "
                    "\"legacy_ms\": %.4f, \"new_ms\": %.4f, "
                    "\"legacy_gflops\": %.3f, \"new_gflops\": %.3f, "
                    "\"speedup\": %.3f}%s\n",
-                   row.kernel.c_str(), gram_kernel.c_str(), row.legacy_ms,
+                   row.kernel.c_str(), isa.c_str(), row.baseline, row.legacy_ms,
                    row.new_ms, gflops(row.flops, row.legacy_ms),
                    gflops(row.flops, row.new_ms), speedup,
                    i + 1 < rows.size() ? "," : "");

@@ -1,5 +1,7 @@
 #include "comm/net/socket_comm.hpp"
 
+#include <algorithm>
+
 #include "comm/net/faultnet.hpp"
 #include "comm/net/rendezvous.hpp"
 #include "common/error.hpp"
@@ -163,14 +165,20 @@ Communicator::Views SocketComm::exchange(std::span<const float> send) {
 }
 
 void SocketComm::do_broadcast(std::span<float> data, int root) {
-  // Binomial tree over virtual ranks (vrank 0 = root).
+  // Binomial tree over virtual ranks (vrank 0 = root). A receiving rank
+  // takes the root's frame whole, at whatever length it has, and forwards
+  // that block unchanged, so a rank whose length differs from the root's
+  // leaves every link in step; it throws only after its subtree has the
+  // payload, as ThreadComm's broadcast does.
   const int p = size_;
   const int vrank = (rank_ - root + p) % p;
+  std::span<const float> payload = data;
   unsigned mask = 1;
   while (mask < static_cast<unsigned>(p)) {
     if (vrank & static_cast<int>(mask)) {
       const int src = (vrank - static_cast<int>(mask) + root) % p;
-      transfer(kNoPeer, {}, src, data);
+      transfer(kNoPeer, {}, src, bcast_block_);
+      payload = bcast_block_;
       break;
     }
     mask <<= 1;
@@ -179,10 +187,15 @@ void SocketComm::do_broadcast(std::span<float> data, int root) {
   while (mask > 0) {
     if (vrank + static_cast<int>(mask) < p) {
       const int dst = (vrank + static_cast<int>(mask) + root) % p;
-      transfer(dst, bytes_of(data), kNoPeer, {});
+      transfer(dst, bytes_of(payload), kNoPeer, {});
     }
     mask >>= 1;
   }
+  if (vrank == 0) return;
+  DKFAC_CHECK(payload.size() == data.size())
+      << "broadcast length mismatch: root sent " << payload.size()
+      << ", rank " << rank_ << " expected " << data.size();
+  std::copy(payload.begin(), payload.end(), data.begin());
 }
 
 void SocketComm::do_barrier() {

@@ -23,7 +23,10 @@
 //                ring folds each chunk in a ROTATED rank order, so it
 //                cannot match the thread backend bit for bit. Up to p = 4
 //                the difference is at most 2×.
-//   broadcast    binomial tree rooted at `root`.
+//   broadcast    binomial tree rooted at `root`. A receiving rank takes
+//                the frame at its own length and forwards it unchanged, so
+//                a rank passing the wrong length throws alone and the wire
+//                stays in step.
 //   barrier      dissemination (⌈log₂ p⌉ rounds).
 //
 // Every step goes through the wire's one frame pump (transfer_frames).
@@ -119,6 +122,9 @@ class SocketComm final : public Communicator {
   // block converges to the largest its rank sends and stays there).
   std::vector<std::vector<float>> blocks_;
   std::vector<std::span<const float>> views_;
+  // A non-root rank's broadcast frame, sized by the frame (not by the
+  // caller's buffer) and forwarded from here; reused across broadcasts.
+  std::vector<float> bcast_block_;
 };
 
 }  // namespace dkfac::comm::net

@@ -39,6 +39,16 @@ void apply_beta(float beta, float* c, int64_t count) {
 
 void gemm(float alpha, const Tensor& a, Trans trans_a, const Tensor& b,
           Trans trans_b, float beta, Tensor& c) {
+  detail::gemm_with(detail::gram_kernel_selected(), alpha, a, trans_a, b,
+                    trans_b, beta, c);
+}
+
+void detail::gemm_with(GramKernel kernel, float alpha, const Tensor& a,
+                       Trans trans_a, const Tensor& b, Trans trans_b,
+                       float beta, Tensor& c) {
+  DKFAC_CHECK(gram_kernel_available(kernel))
+      << "gemm kernel " << gram_kernel_name(kernel)
+      << " is not available on this build or CPU";
   check_rank2(a, "A");
   check_rank2(b, "B");
   check_rank2(c, "C");
@@ -53,8 +63,13 @@ void gemm(float alpha, const Tensor& a, Trans trans_a, const Tensor& b,
   apply_beta(beta, c.data(), c.numel());
   const OpView av{a.data(), a.dim(1), trans_a == Trans::kYes};
   const OpView bv{b.data(), b.dim(1), trans_b == Trans::kYes};
-  detail::gemm_driver(alpha, av, bv, c.data(), n, m, n, k,
-                      /*upper_only=*/false);
+#ifdef DKFAC_MICROKERNEL_AVX2
+  if (kernel == GramKernel::kAvx512) {
+    gemm_avx512(alpha, av, bv, c.data(), n, m, n, k);
+    return;
+  }
+#endif
+  gemm_driver(alpha, av, bv, c.data(), n, m, n, k, /*upper_only=*/false);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a, Trans trans_b) {
@@ -62,8 +77,11 @@ Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a, Trans trans_b) {
   check_rank2(b, "B");
   const int64_t m = trans_a == Trans::kNo ? a.dim(0) : a.dim(1);
   const int64_t n = trans_b == Trans::kNo ? b.dim(1) : b.dim(0);
+  // The constructor zero-fills C, so beta = 1 adds the product onto +0
+  // exactly as beta = 0 would after its own zeroing pass: same bits, one
+  // pass over C fewer.
   Tensor c(Shape{m, n});
-  gemm(1.0f, a, trans_a, b, trans_b, 0.0f, c);
+  gemm(1.0f, a, trans_a, b, trans_b, 1.0f, c);
   return c;
 }
 

@@ -2,10 +2,12 @@
 //
 // These are the compute primitives behind factor accumulation (A = aᵀa),
 // gradient preconditioning (Eqs 13–15), and the conv/linear layers. GEMM is
-// a packed, register-blocked Goto-style kernel (see microkernel.hpp /
-// pack.hpp): A- and B-panels are copied into contiguous transpose-normalized
-// buffers and driven through an FMA micro-kernel, so all four Trans
-// combinations run the same inner loop at the same speed. SYRK computes
+// a register-blocked Goto-style kernel (see gemm_driver.hpp,
+// microkernel.hpp and pack.hpp). On CPUs with AVX-512F it runs an 8×32
+// tile that reads a non-transposed B in place; elsewhere A- and B-panels
+// are copied into contiguous transpose-normalized buffers and driven
+// through a 6×16 FMA micro-kernel. The tile is picked once from the CPU,
+// as syrk's is, and both give the same bits. SYRK computes
 // symmetric Gram matrices (the K-FAC factor shape) at ~half the GEMM flops
 // by evaluating only the upper triangle and mirroring, through its own
 // one-pack Gram kernel (gram.hpp).

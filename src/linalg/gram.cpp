@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 #include "linalg/gemm_driver.hpp"
@@ -24,8 +23,6 @@ namespace {
 
 constexpr int64_t kSliver = 16;  // sliver height = tile edge
 constexpr int64_t kTile = kSliver * kSliver;
-static_assert(MicroTile<float>::kNr == kSliver,
-              "write_tile reads accumulator rows kNr floats apart");
 
 /// Packs rows [i0, i0 + rows) of op(A), rows ≤ 16, over k-slab
 /// [k0, k0 + kc) as one sliver: dst[k·16 + r]; rows past `rows` are zero.
@@ -40,69 +37,16 @@ struct GramOps {
   TileFn tile;
 };
 
+#ifndef DKFAC_MICROKERNEL_AVX2
 /// The GEMM packer at sliver height 16 (straight copies for AᵀA, one
 /// gathered element per row and k step for AAᵀ) is the portable PackFn.
 constexpr PackFn pack_copy = pack_a<float, kSliver>;
 
-#ifndef DKFAC_MICROKERNEL_AVX2
 void tile_portable(int64_t kc, const float* sp, const float* tp, float* acc) {
   std::fill(acc, acc + kTile, 0.0f);
   microkernel_portable<float, kSliver>(kc, sp, tp, acc);
 }
 #else
-/// Transposes the 8×8 block at src (row stride ld) into dst (row stride 16).
-inline void transpose8x8_avx2(const float* src, int64_t ld, float* dst) {
-  __m256 r[8];
-  for (int i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * ld);
-  __m256 t[8];
-  for (int i = 0; i < 4; ++i) {
-    t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
-    t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
-  }
-  // u[4h + j] holds columns j and j + 4 of rows 4h … 4h + 3.
-  __m256 u[8];
-  for (int h = 0; h < 2; ++h) {
-    u[4 * h + 0] = _mm256_shuffle_ps(t[4 * h], t[4 * h + 2], 0x44);
-    u[4 * h + 1] = _mm256_shuffle_ps(t[4 * h], t[4 * h + 2], 0xEE);
-    u[4 * h + 2] = _mm256_shuffle_ps(t[4 * h + 1], t[4 * h + 3], 0x44);
-    u[4 * h + 3] = _mm256_shuffle_ps(t[4 * h + 1], t[4 * h + 3], 0xEE);
-  }
-  for (int j = 0; j < 4; ++j) {
-    _mm256_storeu_ps(dst + j * kSliver, _mm256_permute2f128_ps(u[j], u[4 + j], 0x20));
-    _mm256_storeu_ps(dst + (j + 4) * kSliver,
-                     _mm256_permute2f128_ps(u[j], u[4 + j], 0x31));
-  }
-}
-
-/// The packer of both SIMD kernels: AAᵀ slivers through 8×8 register
-/// transposes; AᵀA (already k-major) and the rows of a partial 8-row group
-/// take the scalar paths.
-void pack_transpose_avx2(const OpView& a, int64_t i0, int64_t rows,
-                         int64_t k0, int64_t kc, float* dst) {
-  if (a.trans) {
-    pack_copy(a, i0, rows, k0, kc, dst);
-    return;
-  }
-  int64_t r = 0;
-  for (; r + 8 <= rows; r += 8) {
-    const float* src = a.data + (i0 + r) * a.ld + k0;
-    int64_t k = 0;
-    for (; k + 8 <= kc; k += 8) transpose8x8_avx2(src + k, a.ld, dst + k * kSliver + r);
-    for (; k < kc; ++k) {
-      for (int64_t q = 0; q < 8; ++q) dst[k * kSliver + r + q] = src[q * a.ld + k];
-    }
-  }
-  for (; r < rows; ++r) {
-    const float* src = a.data + (i0 + r) * a.ld + k0;
-    for (int64_t k = 0; k < kc; ++k) dst[k * kSliver + r] = src[k];
-  }
-  if (rows < kSliver) {
-    for (int64_t k = 0; k < kc; ++k) {
-      std::fill(dst + k * kSliver + rows, dst + (k + 1) * kSliver, 0.0f);
-    }
-  }
-}
-
 /// R (4 or 6) rows × 16 columns of the tile: 2R ymm accumulators, named
 /// one by one so they stay in registers.
 template <int R>
@@ -199,9 +143,9 @@ GramOps ops_for(GramKernel kernel) {
   switch (kernel) {
 #ifdef DKFAC_MICROKERNEL_AVX2
     case GramKernel::kAvx512:
-      return {pack_transpose_avx2, tile_avx512};
+      return {pack_sliver_avx2<kSliver>, tile_avx512};
     case GramKernel::kAvx2:
-      return {pack_transpose_avx2, tile_avx2};
+      return {pack_sliver_avx2<kSliver>, tile_avx2};
 #else
     case GramKernel::kPortable:
       return {pack_copy, tile_portable};
@@ -219,16 +163,6 @@ std::pair<int64_t, int64_t> pair_of(int64_t p) {
   int64_t t = 0;
   while ((t + 1) * (t + 2) / 2 <= p) ++t;
   return {p - t * (t + 1) / 2, t};
-}
-
-/// The calling thread's pack buffer, grown on demand and 64-byte aligned
-/// so every k step of a sliver is one cache line.
-float* pack_buffer(int64_t floats) {
-  thread_local std::vector<float> buffer;
-  const size_t need = static_cast<size_t>(floats) + 16;
-  if (buffer.size() < need) buffer.resize(need);
-  const auto addr = reinterpret_cast<uintptr_t>(buffer.data());
-  return reinterpret_cast<float*>((addr + 63) & ~uintptr_t{63});
 }
 
 }  // namespace
@@ -284,7 +218,7 @@ void gram_upper(GramKernel kernel, float alpha, const float* a, int64_t lda,
   const OpView av{a, lda, trans};
   const int64_t slivers = (n + kSliver - 1) / kSliver;
   const int64_t pairs = slivers * (slivers + 1) / 2;
-  float* pack = pack_buffer(slivers * kSliver * std::min(k, kKC));
+  float* pack = thread_buffer<0>(slivers * kSliver * std::min(k, kKC));
   const bool par = parallel_kernels_allowed() && n * n * k >= (1 << 15);
 
 #pragma omp parallel if (par)
@@ -304,8 +238,8 @@ void gram_upper(GramKernel kernel, float alpha, const float* a, int64_t lda,
         const int64_t i0 = s * kSliver;
         const int64_t j0 = t * kSliver;
         ops.tile(kc, pack + i0 * kc, pack + j0 * kc, acc);
-        write_tile(alpha, acc, c, n, i0, std::min(kSliver, n - i0), j0,
-                   std::min(kSliver, n - j0), /*upper_only=*/true);
+        write_tile(alpha, acc, kSliver, c, n, i0, std::min(kSliver, n - i0),
+                   j0, std::min(kSliver, n - j0), /*upper_only=*/true);
       }  // implicit barrier before the next slab's pack
     }
   }

@@ -15,7 +15,8 @@
 // `c += alpha * acc` in slab order. So syrk's triangle is bitwise equal to
 // the corresponding gemm call on every kernel below and every thread count.
 //
-// Micro-kernels (picked once, from the CPU, at first use):
+// Micro-kernels (picked once, from the CPU, at first use; the same choice
+// picks fp32 gemm's tile, see gemm_with below):
 //   - kAvx512: one zmm accumulator per tile row. Compiled only when the
 //     linalg sources are built with DKFAC_NATIVE_ARCH (as a target-attribute
 //     function, so nothing else in the library needs AVX-512) and chosen
@@ -25,8 +26,8 @@
 //     without AVX-512.
 //   - kPortable: plain loops shaped like microkernel_portable, the only
 //     kernel of a DKFAC_NATIVE_ARCH=OFF build.
-// The two SIMD kernels share one packer (8×8 AVX2 register transposes for
-// AAᵀ); the portable kernel packs with pack_a.
+// The two SIMD kernels share one packer (pack_sliver_avx2: 8×8 AVX2
+// register transposes for AAᵀ); the portable kernel packs with pack_a.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,7 @@ const char* gram_kernel_name(GramKernel kernel);
 /// True when this build contains `kernel` and the CPU can run it.
 bool gram_kernel_available(GramKernel kernel);
 
-/// The kernel syrk runs: the widest available one.
+/// The kernel syrk and fp32 gemm run: the widest available one.
 GramKernel gram_kernel_selected();
 
 /// C(n×n, row-major, leading dimension n) += alpha·op(A)·op(A)ᵀ on the
@@ -59,5 +60,11 @@ void gram_upper(GramKernel kernel, float alpha, const float* a, int64_t lda,
 /// tests and benches use to run every kernel the CPU supports.
 void syrk_with(GramKernel kernel, float alpha, const Tensor& a, Trans trans,
                float beta, Tensor& c);
+
+/// gemm through a chosen kernel, which must be available: kAvx512 runs the
+/// 8×32 tile (gemm_avx512 in gemm_driver.hpp), kAvx2 and kPortable the
+/// build's 6×16 MicroTile driver. All give the same bits on a given build.
+void gemm_with(GramKernel kernel, float alpha, const Tensor& a, Trans trans_a,
+               const Tensor& b, Trans trans_b, float beta, Tensor& c);
 
 }  // namespace dkfac::linalg::detail

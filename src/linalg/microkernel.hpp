@@ -1,30 +1,40 @@
 // Register-blocked GEMM micro-kernels (Goto/BLIS-style innermost loop).
 //
-// The shared macro-kernel in gemm_driver.hpp feeds packed,
-// transpose-normalized panels (see pack.hpp) to one of two interchangeable
-// micro-kernels per scalar type, each computing an MR×NR accumulator tile
-// over a KC-long k-slab:
+// The macro-kernels in gemm_driver.hpp feed transpose-normalized panels
+// (see pack.hpp) to one micro-kernel per tile shape, each computing an
+// MR×NR accumulator tile over a KC-long k-slab. The tile family:
 //
-//   - AVX2/FMA intrinsics kernels — fp32 6×16 (12 ymm accumulators, the
-//     classic shape that saturates both FMA ports) and fp64 6×8 (the same
-//     12-accumulator structure at 4 doubles per ymm) — compiled when the
-//     translation unit is built with -mavx2 -mfma (CMake option
-//     DKFAC_NATIVE_ARCH), and
-//   - a portable `#pragma omp simd` fallback with the identical accumulation
-//     pattern, used on builds without those ISA extensions.
+//   - AVX-512 fp32 8×32 (16 zmm accumulators: 8 rows × two 16-float
+//     vectors, each A value a {1to16} broadcast folded into its FMA). Its
+//     B operand is read through a row pointer and a row stride, so the
+//     driver can hand it a non-transposed op(B) in place; columns past the
+//     tile's valid width are masked out of the loads. It is a
+//     target-attribute function, run only after the CPU check that syrk's
+//     Gram kernel already uses (gram.hpp), and exists only in builds with
+//     DKFAC_MICROKERNEL_AVX2. The height divides the conv lowering's
+//     output-channel counts (8, 16, 32), where a 6-row tile wastes rows.
+//   - AVX2/FMA fp32 6×16 (12 ymm accumulators, the classic shape that
+//     saturates both FMA ports) and fp64 6×8 (the same 12-accumulator
+//     structure at 4 doubles per ymm) — compiled when the translation unit
+//     is built with -mavx2 -mfma (CMake option DKFAC_NATIVE_ARCH). The fp32
+//     one is gemm's kernel on CPUs without AVX-512; the fp64 one carries
+//     the decomposition internals everywhere.
+//   - a portable `#pragma omp simd` fallback with the identical
+//     accumulation pattern, used on builds without those ISA extensions.
 //
-// The fp32 instance carries the GEMM/SYRK public kernels; the fp64 instance
-// carries the decomposition internals (blocked Householder
-// tridiagonalization, divide-and-conquer back-multiplication, blocked
-// triangular inverse), which run in double for the same reason the original
-// EISPACK-style solvers did: K-FAC factors are near-singular FP32
+// The fp64 instance carries the decomposition internals (blocked
+// Householder tridiagonalization, divide-and-conquer back-multiplication,
+// blocked triangular inverse), which run in double for the same reason the
+// original EISPACK-style solvers did: K-FAC factors are near-singular FP32
 // accumulations.
 //
 // All kernels accumulate every output element strictly in ascending-k
 // order, so a given build produces bitwise-identical results regardless of
 // OMP_NUM_THREADS (threads only partition *which* tiles they compute, never
-// the per-element reduction order). The intrinsics and portable kernels are
-// NOT bitwise identical to each other — FMA contracts the multiply-add —
+// the per-element reduction order). The two fp32 SIMD tiles are bitwise
+// equal to each other: each element is the same FMA chain from zero over
+// the same slab, whatever the tile it sits in. The intrinsics and portable
+// kernels are NOT bitwise identical — FMA contracts the multiply-add —
 // which is fine: determinism is per build, not across ISAs.
 //
 // Everything here is `static inline` on purpose: a TU compiled without AVX2
@@ -32,6 +42,7 @@
 // rather than linking against the library's AVX2 instance.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 
@@ -217,6 +228,52 @@ template <typename T, int64_t Mr = MicroTile<T>::kMr>
   _mm256_storeu_pd(acc + 4 * nr + 4, c41);
   _mm256_storeu_pd(acc + 5 * nr, c50);
   _mm256_storeu_pd(acc + 5 * nr + 4, c51);
+}
+
+/// The AVX-512 fp32 tile: 8 broadcast rows × 32 columns.
+struct Avx512Tile {
+  static constexpr int64_t kMr = 8;
+  static constexpr int64_t kNr = 32;
+};
+
+/// acc[r·32 + c] = Σ_k ap[k·8 + r] · b[k·ldb + c], an FMA chain from zero
+/// over k ascending. `ap` is a packed 8-row A sliver (rows past the valid
+/// ones zero); `b` is row k0 of a 32-column op(B) block with row stride
+/// `ldb` — op(B) in place, or a packed sliver with ldb = 32. Columns
+/// c ≥ nr are never read (masked loads) and come back as 0·a partials the
+/// caller discards.
+__attribute__((target("avx512f"))) [[maybe_unused]] static inline void
+microkernel_avx512(int64_t kc, const float* ap, const float* b, int64_t ldb,
+                   int64_t nr, float* acc) {
+  constexpr int64_t mr = Avx512Tile::kMr;
+  constexpr int64_t nr_tile = Avx512Tile::kNr;
+  const auto lanes = [](int64_t count) -> __mmask16 {
+    return count >= 16 ? __mmask16(0xFFFF)
+                       : static_cast<__mmask16>((1u << std::max<int64_t>(count, 0)) - 1);
+  };
+  const __mmask16 lo = lanes(nr);
+  const __mmask16 hi = lanes(nr - 16);
+  __m512 c0[mr];
+  __m512 c1[mr];
+#pragma GCC unroll 8
+  for (int r = 0; r < mr; ++r) c0[r] = c1[r] = _mm512_setzero_ps();
+  for (int64_t k = 0; k < kc; ++k) {
+    const float* brow = b + k * ldb;
+    const __m512 b0 = _mm512_maskz_loadu_ps(lo, brow);
+    const __m512 b1 = _mm512_maskz_loadu_ps(hi, brow + 16);
+    const float* a = ap + k * mr;
+#pragma GCC unroll 8
+    for (int r = 0; r < mr; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r]);
+      c0[r] = _mm512_fmadd_ps(av, b0, c0[r]);
+      c1[r] = _mm512_fmadd_ps(av, b1, c1[r]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < mr; ++r) {
+    _mm512_storeu_ps(acc + r * nr_tile, c0[r]);
+    _mm512_storeu_ps(acc + r * nr_tile + 16, c1[r]);
+  }
 }
 #endif  // DKFAC_MICROKERNEL_AVX2
 

@@ -1,4 +1,5 @@
-// Panel packing for the Goto-style GEMM driver (gemm_driver.hpp).
+// Panel packing for the GEMM drivers (gemm_driver.hpp) and the Gram
+// kernel (gram.cpp).
 //
 // The packers copy an MC×KC block of op(A) into kMr-row slivers and a KC×NC
 // block of op(B) into kNr-column slivers, normalizing the transpose away:
@@ -10,9 +11,15 @@
 // contributions, so padding never perturbs valid elements, including
 // NaN/Inf propagation from real data).
 //
-// Everything is templated on the scalar: the fp32 instantiation backs the
-// public gemm/syrk kernels, the fp64 one the decomposition internals. The
+// pack_a/pack_b are templated on the scalar: the fp32 instantiation backs
+// the AVX2 and portable gemm, the fp64 one the decomposition internals. The
 // sliver widths come from MicroTile<T> (microkernel.hpp).
+//
+// pack_sliver_avx2 is the fp32 packer of the SIMD kernels: pack_a's layout
+// for one H-row sliver, built from 8×8 register transposes where op(X)'s
+// rows are contiguous in k. The Gram kernel packs 16-row slivers of op(A)
+// with it; the AVX-512 gemm packs its 8-row A strips and, for a transposed
+// op(B), its 32-column B slivers (rows of op(B)ᵀ).
 #pragma once
 
 #include <algorithm>
@@ -103,5 +110,66 @@ inline void pack_b(const OpViewT<T>& b, int64_t k0, int64_t kc, int64_t j0,
     }
   }
 }
+
+#ifdef DKFAC_MICROKERNEL_AVX2
+/// Transposes the 8×8 block at src (row stride ld) into dst (row stride
+/// dst_ld): dst[c·dst_ld + r] = src[r·ld + c].
+inline void transpose8x8_avx2(const float* src, int64_t ld, float* dst,
+                              int64_t dst_ld) {
+  __m256 r[8];
+  for (int i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * ld);
+  __m256 t[8];
+  for (int i = 0; i < 4; ++i) {
+    t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+    t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+  }
+  // u[4h + j] holds columns j and j + 4 of rows 4h … 4h + 3.
+  __m256 u[8];
+  for (int h = 0; h < 2; ++h) {
+    u[4 * h + 0] = _mm256_shuffle_ps(t[4 * h], t[4 * h + 2], 0x44);
+    u[4 * h + 1] = _mm256_shuffle_ps(t[4 * h], t[4 * h + 2], 0xEE);
+    u[4 * h + 2] = _mm256_shuffle_ps(t[4 * h + 1], t[4 * h + 3], 0x44);
+    u[4 * h + 3] = _mm256_shuffle_ps(t[4 * h + 1], t[4 * h + 3], 0xEE);
+  }
+  for (int j = 0; j < 4; ++j) {
+    _mm256_storeu_ps(dst + j * dst_ld, _mm256_permute2f128_ps(u[j], u[4 + j], 0x20));
+    _mm256_storeu_ps(dst + (j + 4) * dst_ld,
+                     _mm256_permute2f128_ps(u[j], u[4 + j], 0x31));
+  }
+}
+
+/// Packs rows [i0, i0 + rows) of op(X), rows ≤ H, over k-slab [k0, k0 + kc)
+/// as one sliver: dst[k·H + r] = op(X)(i0 + r, k0 + k), rows past `rows`
+/// zero (pack_a's layout). A transposed op(X) is already k-major and takes
+/// pack_a's straight copies; otherwise full 8-row groups go through 8×8
+/// register transposes, and the rows of a partial group and the k tail
+/// take scalar paths, so no load passes the end of a row.
+template <int64_t H>
+inline void pack_sliver_avx2(const OpView& x, int64_t i0, int64_t rows,
+                             int64_t k0, int64_t kc, float* dst) {
+  if (x.trans) {
+    pack_a<float, H>(x, i0, rows, k0, kc, dst);
+    return;
+  }
+  int64_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
+    const float* src = x.data + (i0 + r) * x.ld + k0;
+    int64_t k = 0;
+    for (; k + 8 <= kc; k += 8) transpose8x8_avx2(src + k, x.ld, dst + k * H + r, H);
+    for (; k < kc; ++k) {
+      for (int64_t q = 0; q < 8; ++q) dst[k * H + r + q] = src[q * x.ld + k];
+    }
+  }
+  for (; r < rows; ++r) {
+    const float* src = x.data + (i0 + r) * x.ld + k0;
+    for (int64_t k = 0; k < kc; ++k) dst[k * H + r] = src[k];
+  }
+  if (rows < H) {
+    for (int64_t k = 0; k < kc; ++k) {
+      std::fill(dst + k * H + rows, dst + (k + 1) * H, 0.0f);
+    }
+  }
+}
+#endif  // DKFAC_MICROKERNEL_AVX2
 
 }  // namespace dkfac::linalg::detail

@@ -237,6 +237,33 @@ TEST(SocketComm, MisSizedAllreduceThrowsOnEveryRank) {
   }
 }
 
+TEST(SocketComm, MisSizedBroadcastKeepsTheWireInStep) {
+  // Root 0 sends 5 floats and one rank expects 3: that rank throws, every
+  // other rank gets the root's data, and a following allreduce succeeds on
+  // every rank. On 3 ranks the mis-sized rank 1 is a leaf of the binomial
+  // tree; on 4 ranks rank 2 must still forward the root's block to rank 3.
+  for (const auto [ranks, mis_sized] : {std::pair{3, 1}, std::pair{4, 2}}) {
+    const int status = run_ranks_checked(ranks, [&](Communicator& comm) {
+      const std::vector<float> sent = contribution(0, 5);
+      const bool wrong = comm.rank() == mis_sized;
+      std::vector<float> data =
+          comm.rank() == 0 ? sent : std::vector<float>(wrong ? 3 : 5, -1.0f);
+      if (wrong) {
+        EXPECT_THROW(comm.broadcast(data, /*root=*/0), Error);
+      } else {
+        comm.broadcast(data, /*root=*/0);
+        expect_bitwise_equal(data, sent, "broadcast");
+      }
+      std::vector<float> after(2, 1.0f);
+      comm.allreduce(after, ReduceOp::kSum);
+      EXPECT_EQ(after[0], static_cast<float>(ranks));
+      EXPECT_EQ(after[1], static_cast<float>(ranks));
+    });
+    EXPECT_EQ(status, 0) << ranks << " ranks, rank " << mis_sized
+                         << " mis-sized";
+  }
+}
+
 /// Runs each collective once; each call must add exactly one span
 /// aggregate on the calling thread, under its own comm.* name only.
 void expect_one_span_per_collective(Communicator& comm) {

@@ -10,7 +10,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -259,6 +262,141 @@ TEST_P(GramKernelTest, BitwiseMatchesGemm) {
 
 INSTANTIATE_TEST_SUITE_P(
     Syrk, GramKernelTest, ::testing::ValuesIn(detail::kGramKernels),
+    [](const ::testing::TestParamInfo<detail::GramKernel>& info) {
+      return std::string(detail::gram_kernel_name(info.param));
+    });
+
+// Every fp32 gemm kernel against the AVX2 kernel, bit for bit: the AVX-512
+// 8×32 tile reads a plain op(B) in place with masked edge loads, packs a
+// transposed one, and on one-strip outputs with more slabs than column
+// tiles computes slab partials in parallel. The table crosses M (both
+// sides of the 8-row strip and the 96-row panel), N (both sides of the
+// 16- and 32-column edges) and K (both sides of the 256-deep slab, up to
+// the weight gradient's 8192), skipping products above 2^23
+// multiply-adds, plus the six ResNet-8 conv products. Every shape runs all
+// four transpose combinations, each with one of GemmAllTrans's α/β pairs
+// in rotation, on 1, 2 and 8 threads; then NaN and Inf in B meet zeros in
+// A. A build without the AVX2 kernel compares its portable kernel with
+// itself on one thread, which still checks thread invariance.
+class GemmKernelTest : public ::testing::TestWithParam<detail::GramKernel> {};
+
+detail::GramKernel gemm_reference_kernel() {
+  return detail::gram_kernel_available(detail::GramKernel::kAvx2)
+             ? detail::GramKernel::kAvx2
+             : detail::gram_kernel_selected();
+}
+
+/// gemm_with(kernel) on 1, 2 and 8 threads must equal the reference
+/// kernel's single-thread result bit for bit.
+void expect_gemm_kernel_matches(detail::GramKernel kernel, float alpha,
+                                const Tensor& a, Trans ta, const Tensor& b,
+                                Trans tb, float beta, const Tensor& c0,
+                                const std::string& what) {
+  const int original = omp_get_max_threads();
+  omp_set_num_threads(1);
+  Tensor want = c0;
+  detail::gemm_with(gemm_reference_kernel(), alpha, a, ta, b, tb, beta, want);
+  for (int threads : {1, 2, 8}) {
+    omp_set_num_threads(threads);
+    Tensor got = c0;
+    detail::gemm_with(kernel, alpha, a, ta, b, tb, beta, got);
+    EXPECT_TRUE(bitwise_equal(got, want)) << what << " threads=" << threads;
+  }
+  omp_set_num_threads(original);
+}
+
+/// op(X) is rows × cols; uniform values are as rounding-sensitive as
+/// normal ones for a bitwise check, and cheaper to draw.
+Tensor operand(int64_t rows, int64_t cols, Trans trans, Rng& rng) {
+  return trans == Trans::kNo ? Tensor::rand(Shape{rows, cols}, rng, -1.0f, 1.0f)
+                             : Tensor::rand(Shape{cols, rows}, rng, -1.0f, 1.0f);
+}
+
+std::string gemm_case_name(int64_t m, int64_t n, int64_t k, Trans ta,
+                           Trans tb) {
+  return "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+         " k=" + std::to_string(k) + (ta == Trans::kNo ? " N" : " T") +
+         (tb == Trans::kNo ? "N" : "T");
+}
+
+/// Zeros in A against NaN and Inf in B, in the last row and column too:
+/// 0·NaN and 0·Inf must give the reference kernel's NaN bits, and real
+/// NaN must reach C.
+void expect_gemm_nonfinite_matches(detail::GramKernel kernel, int64_t m,
+                                   int64_t n, int64_t k) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(static_cast<uint64_t>(m * 31 + n * 7 + k));
+  for (Trans ta : {Trans::kNo, Trans::kYes}) {
+    for (Trans tb : {Trans::kNo, Trans::kYes}) {
+      Tensor a = operand(m, k, ta, rng);
+      Tensor b = operand(k, n, tb, rng);
+      for (int64_t i = 0; i < a.numel(); i += 3) a[i] = 0.0f;
+      for (int64_t i = 0; i < b.numel(); i += 97) b[i] = i % 2 ? nan : inf;
+      b[b.numel() - 1] = nan;
+      b[0] = -inf;
+      const Tensor c0 = Tensor::randn(Shape{m, n}, rng);
+      const std::string what = "non-finite " + gemm_case_name(m, n, k, ta, tb);
+      expect_gemm_kernel_matches(kernel, 1.0f, a, ta, b, tb, 0.0f, c0, what);
+      Tensor c = c0;
+      detail::gemm_with(kernel, 1.0f, a, ta, b, tb, 0.0f, c);
+      int64_t nans = 0;
+      for (int64_t i = 0; i < c.numel(); ++i) nans += std::isnan(c[i]) ? 1 : 0;
+      EXPECT_GT(nans, 0) << what;
+    }
+  }
+}
+
+TEST_P(GemmKernelTest, BitwiseMatchesAvx2) {
+  const detail::GramKernel kernel = GetParam();
+  if (!detail::gram_kernel_available(kernel)) {
+    GTEST_SKIP() << "gemm kernel " << detail::gram_kernel_name(kernel)
+                 << ": not in this build or not supported by this CPU";
+  }
+  struct Shape3 {
+    int64_t m, n, k;
+  };
+  std::vector<Shape3> shapes;
+  for (int64_t m : {1, 7, 8, 10, 16, 27, 32, 72, 144, 288}) {
+    for (int64_t n : {1, 15, 16, 17, 31, 33, 512, 2053}) {
+      for (int64_t k : {1, 8, 255, 256, 257, 8192}) {
+        if (m * n * k <= (int64_t{1} << 23)) shapes.push_back({m, n, k});
+      }
+    }
+  }
+  // Forward W·patches, weight gradient grad·patchesᵀ and input gradient
+  // Wᵀ·grad of the stage-1 and stage-3 3×3 convs.
+  for (const Shape3 conv : {Shape3{8, 8192, 72}, Shape3{8, 72, 8192},
+                            Shape3{72, 8192, 8}, Shape3{32, 512, 288},
+                            Shape3{32, 288, 512}, Shape3{288, 512, 32}}) {
+    shapes.push_back(conv);
+  }
+  const std::pair<float, float> alpha_beta[] = {
+      {1.0f, 0.0f}, {1.0f, 1.0f}, {-1.0f, 0.5f}, {0.5f, -1.0f}, {0.0f, 0.5f}};
+  size_t rotation = 0;
+  for (const auto [m, n, k] : shapes) {
+    Rng rng(static_cast<uint64_t>(m * 1000003 + n * 1009 + k));
+    for (Trans ta : {Trans::kNo, Trans::kYes}) {
+      for (Trans tb : {Trans::kNo, Trans::kYes}) {
+        const Tensor a = operand(m, k, ta, rng);
+        const Tensor b = operand(k, n, tb, rng);
+        const Tensor c0 = Tensor::rand(Shape{m, n}, rng, -1.0f, 1.0f);
+        const auto [alpha, beta] = alpha_beta[rotation++ % 5];
+        expect_gemm_kernel_matches(kernel, alpha, a, ta, b, tb, beta, c0,
+                                   gemm_case_name(m, n, k, ta, tb));
+      }
+    }
+  }
+  // The in-place, packed, edge-masked and slab-parallel paths.
+  for (const auto [m, n, k] :
+       {std::tuple<int64_t, int64_t, int64_t>{8, 72, 8192}, {10, 33, 257},
+        {27, 2053, 8}, {1, 17, 256}, {7, 31, 600}}) {
+    expect_gemm_nonfinite_matches(kernel, m, n, k);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Gemm, GemmKernelTest, ::testing::ValuesIn(detail::kGramKernels),
     [](const ::testing::TestParamInfo<detail::GramKernel>& info) {
       return std::string(detail::gram_kernel_name(info.param));
     });
