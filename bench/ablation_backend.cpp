@@ -5,7 +5,8 @@
 //
 //   thread   N ranks as N threads over shared memory (LocalGroup)
 //   socket   N forked processes over localhost TCP (net::SocketComm),
-//            rendezvous + full peer mesh, ring/tree collectives
+//            rendezvous + full peer mesh, every collective one ring
+//            exchange
 //
 // Reports per-step wall time, the logical collective payload (identical
 // across backends by the CommStats convention), and the socket backend's

@@ -142,7 +142,7 @@ void Communicator::broadcast(std::span<float> data, int root) {
   if (size() == 1) return;
   DKFAC_TRACE_SCOPE_NAMED(span, "comm.broadcast");
   const uint64_t wire = wire_bytes(stats_);
-  do_broadcast(data, root);
+  deliver(data, root, "broadcast");
   annotate(span, data.size_bytes(), wire_bytes(stats_) - wire);
 }
 
@@ -150,8 +150,33 @@ void Communicator::barrier() {
   if (size() == 1) return;
   DKFAC_TRACE_SCOPE_NAMED(span, "comm.barrier");
   const uint64_t wire = wire_bytes(stats_);
-  do_barrier();
+  deliver({}, /*root=*/0, "barrier");
   annotate(span, 0, wire_bytes(stats_) - wire);
+}
+
+void Communicator::deliver(std::span<float> data, int root,
+                           const char* what) {
+  const bool is_root = rank() == root;
+  const Views blocks =
+      exchange(is_root ? std::span<const float>(data) : std::span<const float>());
+  for (int r = 0; r < size(); ++r) {
+    const size_t sent = blocks[static_cast<size_t>(r)].size();
+    const size_t expected = r == root ? data.size() : 0;
+    if (sent == expected) continue;
+    // Every rank sees the same blocks; a rank whose call differs from them
+    // throws after the exchange, so every rank leaves it in step.
+    end_exchange();
+    DKFAC_CHECK(sent == expected)
+        << what << " mismatch: rank " << r << " sent " << sent
+        << " floats where rank " << rank() << " expected " << expected;
+  }
+  // A receiving rank contributed nothing, so writing `data` cannot disturb
+  // a view before end_exchange().
+  if (!is_root) {
+    const std::span<const float> src = blocks[static_cast<size_t>(root)];
+    std::copy(src.begin(), src.end(), data.begin());
+  }
+  end_exchange();
 }
 
 }  // namespace dkfac::comm

@@ -3,13 +3,19 @@
 // The paper's Algorithm 1 is expressed entirely in terms of three
 // collectives — allreduce, allgather, broadcast — plus rank/size queries.
 // Production Horovod backs them with NCCL/MPI rings. Here Communicator
-// defines each collective once for every backend: an allreduce exchanges
-// every rank's contribution and folds them in rank order, so all ranks and
-// both backends compute the same bits. It also owns the length and root
-// checks, the size-1 shortcut, the CommStats payload counters and one
-// `comm.*` span per call; a backend only moves bytes (the protected
-// transport). Backends: LocalGroup/ThreadComm, N ranks as N threads
-// (thread_comm.hpp), and the multi-process TCP net::SocketComm
+// defines each collective once for every backend, as one exchange that
+// shows every rank's block to every rank: an allreduce folds the blocks in
+// rank order, so all ranks and both backends compute the same bits; an
+// allgather concatenates them; a broadcast is an exchange in which only the
+// root contributes, and a barrier one in which no rank does. Communicator
+// also owns the length and root checks, the size-1 shortcut, the CommStats
+// payload counters and one `comm.*` span per call. An allreduce, broadcast
+// or barrier checks every block on every rank and throws only after the
+// exchange has ended, so a mismatched call (wrong length, wrong root, a
+// barrier against an allreduce) is a typed dkfac::Error and the next
+// collective starts in step. A backend implements the exchange alone (the
+// protected transport). Backends: LocalGroup/ThreadComm, N ranks as N
+// threads (thread_comm.hpp), and the multi-process TCP net::SocketComm
 // (net/socket_comm.hpp).
 #pragma once
 
@@ -154,9 +160,13 @@ class Communicator {
   /// (the K-FAC gathers keep one each).
   void allgather_into(std::span<const float> send, std::vector<float>& recv);
 
-  /// Copies `data` from `root` to all ranks.
+  /// Copies `data` from `root` to all ranks. Every rank must pass the same
+  /// root and length; a rank whose view differs from the blocks it receives
+  /// throws dkfac::Error.
   void broadcast(std::span<float> data, int root);
 
+  /// Returns once every rank has called it. A rank whose peers are in a
+  /// different collective throws dkfac::Error, as they do.
   void barrier();
 
   /// Allreduce over a codec-encoded (fp16/bf16) payload: `data` holds
@@ -231,9 +241,6 @@ class Communicator {
   /// until end_exchange(), which every rank calls once per exchange.
   virtual Views exchange(std::span<const float> send) = 0;
   virtual void end_exchange() = 0;
-  /// Copies `root`'s `data` into every other rank's `data`.
-  virtual void do_broadcast(std::span<float> data, int root) = 0;
-  virtual void do_barrier() = 0;
 
   /// Wire counters are the backend's to fill (see CommStats).
   CommStats stats_;
@@ -241,6 +248,9 @@ class Communicator {
  private:
   /// allreduce() and allreduce_encoded() (kFp32: no codec).
   void reduce(std::span<float> data, Precision precision, ReduceOp op);
+  /// broadcast() and barrier() (an empty `data`): one exchange in which
+  /// only `root` contributes. `what` names the collective in errors.
+  void deliver(std::span<float> data, int root, const char* what);
 
   // The fold and one decoded 16-bit contribution, reused across calls:
   // the gradient and factor exchanges reduce every step, and reallocating
@@ -266,8 +276,6 @@ class SelfComm final : public Communicator {
   // Never called: a size-1 communicator's collectives return first.
   Views exchange(std::span<const float>) override { return {}; }
   void end_exchange() override {}
-  void do_broadcast(std::span<float>, int) override {}
-  void do_barrier() override {}
 };
 
 }  // namespace dkfac::comm

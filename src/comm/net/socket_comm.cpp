@@ -1,7 +1,5 @@
 #include "comm/net/socket_comm.hpp"
 
-#include <algorithm>
-
 #include "comm/net/faultnet.hpp"
 #include "comm/net/rendezvous.hpp"
 #include "common/error.hpp"
@@ -9,8 +7,6 @@
 namespace dkfac::comm::net {
 
 namespace {
-
-constexpr int kNoPeer = -1;  // transfer(): no frame on this side
 
 inline std::span<const uint8_t> bytes_of(std::span<const float> s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size_bytes()};
@@ -100,7 +96,7 @@ SocketComm::SocketComm(const SocketOptions& options) : options_(options) {
   }
 
   // Everyone reaches here only with a complete, verified mesh.
-  do_barrier();
+  barrier();
 }
 
 Socket& SocketComm::peer(int r) {
@@ -112,25 +108,15 @@ Socket& SocketComm::peer(int r) {
 }
 
 void SocketComm::transfer(int to, std::span<const uint8_t> out, int from,
-                          FrameDst in, FrameType type) {
+                          std::vector<float>& in) {
   try {
-    Socket* to_sock = nullptr;
-    Socket* from_sock = nullptr;
-    uint32_t send_seq = 0;
-    uint32_t recv_seq = 0;
-    size_t sent = 0;
-    if (to != kNoPeer) {
-      to_sock = &peer(to);
-      send_seq = send_seq_[static_cast<size_t>(to)]++;
-      sent = kFrameHeaderBytes + out.size();
-    }
-    if (from != kNoPeer) {
-      from_sock = &peer(from);
-      recv_seq = recv_seq_[static_cast<size_t>(from)]++;
-    }
-    const size_t moved = transfer_frames(to_sock, type, send_seq, out,
-                                         from_sock, type, recv_seq, in,
-                                         options_.timeout_s);
+    Socket& to_sock = peer(to);
+    Socket& from_sock = peer(from);
+    const size_t sent = kFrameHeaderBytes + out.size();
+    const size_t moved = transfer_frames(
+        &to_sock, FrameType::kData, send_seq_[static_cast<size_t>(to)]++, out,
+        &from_sock, FrameType::kData, recv_seq_[static_cast<size_t>(from)]++,
+        in, options_.timeout_s);
     stats_.wire_sent_bytes += sent;
     stats_.wire_recv_bytes += moved - sent;
   } catch (const FrameError& e) {
@@ -138,9 +124,8 @@ void SocketComm::transfer(int to, std::span<const uint8_t> out, int from,
     // failed.
     throw PeerFailure(e.side() == FrameSide::kSend ? to : from, e.what());
   } catch (const Error& e) {
-    // A link found down before any frame moved: blame the receive peer
-    // when there is one.
-    throw PeerFailure(from != kNoPeer ? from : to, e.what());
+    // A link found down before any frame moved: blame the receive peer.
+    throw PeerFailure(from, e.what());
   }
 }
 
@@ -162,57 +147,6 @@ Communicator::Views SocketComm::exchange(std::span<const float> send) {
     views_[recv_block] = blocks_[recv_block];
   }
   return views_;
-}
-
-void SocketComm::do_broadcast(std::span<float> data, int root) {
-  // Binomial tree over virtual ranks (vrank 0 = root). A receiving rank
-  // takes the root's frame whole, at whatever length it has, and forwards
-  // that block unchanged, so a rank whose length differs from the root's
-  // leaves every link in step; it throws only after its subtree has the
-  // payload, as ThreadComm's broadcast does.
-  const int p = size_;
-  const int vrank = (rank_ - root + p) % p;
-  std::span<const float> payload = data;
-  unsigned mask = 1;
-  while (mask < static_cast<unsigned>(p)) {
-    if (vrank & static_cast<int>(mask)) {
-      const int src = (vrank - static_cast<int>(mask) + root) % p;
-      transfer(kNoPeer, {}, src, bcast_block_);
-      payload = bcast_block_;
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + static_cast<int>(mask) < p) {
-      const int dst = (vrank + static_cast<int>(mask) + root) % p;
-      transfer(dst, bytes_of(payload), kNoPeer, {});
-    }
-    mask >>= 1;
-  }
-  if (vrank == 0) return;
-  DKFAC_CHECK(payload.size() == data.size())
-      << "broadcast length mismatch: root sent " << payload.size()
-      << ", rank " << rank_ << " expected " << data.size();
-  std::copy(payload.begin(), payload.end(), data.begin());
-}
-
-void SocketComm::do_barrier() {
-  // Dissemination barrier: ⌈log₂ p⌉ full-duplex rounds; after round k every
-  // rank has transitively heard from all ranks within distance 2^(k+1).
-  const int p = size_;
-  for (int d = 1; d < p; d <<= 1) {
-    const int to = (rank_ + d) % p;
-    const int from = (rank_ - d + p) % p;
-    const float token = static_cast<float>(d);
-    float got = 0.0f;
-    transfer(to, bytes_of(std::span<const float>(&token, 1)), from,
-             std::span<float>(&got, 1), FrameType::kBarrier);
-    DKFAC_CHECK(got == token)
-        << "barrier round mismatch: expected " << token << ", got " << got
-        << " (collective sequence desync?)";
-  }
 }
 
 }  // namespace dkfac::comm::net

@@ -10,31 +10,28 @@
 // with a versioned kHello so a mismatched build is rejected up front.
 //
 // The transport only moves bytes; Communicator folds, checks and counts.
-// One algorithm per part:
+// Its one algorithm is the exchange, a ring circulation: p-1 full-duplex
+// ring steps, each forwarding the block received the step before, so every
+// rank's block reaches every rank (the frame length prefix carries each
+// block's size, an empty one included). Incoming blocks land in per-rank
+// buffers that stay valid as views until the next exchange. Every
+// collective rides it:
 //
-//   exchange     ring circulation: p-1 full-duplex ring steps, each
-//                forwarding the block received the step before, so every
-//                rank's block reaches every rank (the frame length prefix
-//                carries each block's size). Incoming blocks land in
-//                per-rank buffers that stay valid as views until the next
-//                exchange. Every allreduce and allgather rides it: each
-//                rank sends (p-1)·n bytes, where a classic ring allreduce
-//                (reduce-scatter + allgather) sends 2·(p-1)/p·n; but that
-//                ring folds each chunk in a ROTATED rank order, so it
-//                cannot match the thread backend bit for bit. Up to p = 4
-//                the difference is at most 2×.
-//   broadcast    binomial tree rooted at `root`. A receiving rank takes
-//                the frame at its own length and forwards it unchanged, so
-//                a rank passing the wrong length throws alone and the wire
-//                stays in step.
-//   barrier      dissemination (⌈log₂ p⌉ rounds).
+//   allreduce, allgather   each rank sends (p-1)·n bytes, where a classic
+//                ring allreduce (reduce-scatter + allgather) sends
+//                2·(p-1)/p·n; but that ring folds each chunk in a ROTATED
+//                rank order, so it cannot match the thread backend bit for
+//                bit. Up to p = 4 the difference is at most 2×.
+//   broadcast    only the root's block is non-empty: p-1 steps, where a
+//                binomial tree takes ⌈log₂ p⌉ levels. A run broadcasts only
+//                its initial parameters, before the first step.
+//   barrier      every block is empty: p-1 steps of header-only frames.
 //
-// Every step goes through the wire's one frame pump (transfer_frames).
-// Cyclic steps (circulation, dissemination) send and receive in full
-// duplex so they cannot deadlock when a payload outgrows the kernel socket
-// buffers; tree steps send or receive one frame at a time. Every frame
-// runs under Options::timeout_s — a dead peer or a desynchronised
-// collective surfaces as a dkfac::Error, never a hang.
+// Every step goes through the wire's one frame pump (transfer_frames) and
+// sends and receives in full duplex, so it cannot deadlock when a payload
+// outgrows the kernel socket buffers. Every frame runs under
+// Options::timeout_s — a dead peer or a desynchronised collective surfaces
+// as a dkfac::Error, never a hang.
 //
 // CommStats: Communicator counts the logical payload; SocketComm fills
 // only wire_sent_bytes / wire_recv_bytes, every byte this rank really put
@@ -94,20 +91,17 @@ class SocketComm final : public Communicator {
  protected:
   Views exchange(std::span<const float> send) override;
   void end_exchange() override {}
-  void do_broadcast(std::span<float> data, int root) override;
-  void do_barrier() override;
 
  private:
   Socket& peer(int r);
-  /// The one framed step on peer links (see transfer_frames): sends `out`
-  /// to rank `to` while receiving from rank `from` into `in`; a rank of -1
-  /// drops that side. Keeps the per-peer sequence counters and the
-  /// wire-byte accounting. A transport failure rethrows as PeerFailure
-  /// naming the receiving peer, or the peer sent to when nothing is
-  /// received — the typed signal elastic callers use to trigger
+  /// One ring step (see transfer_frames): sends `out` to rank `to` while
+  /// receiving rank `from`'s frame into `in`, resized to its payload. Keeps
+  /// the per-peer sequence counters and the wire-byte accounting. A
+  /// transport failure rethrows as PeerFailure naming the peer of the side
+  /// that failed — the typed signal elastic callers use to trigger
   /// re-formation.
-  void transfer(int to, std::span<const uint8_t> out, int from, FrameDst in,
-                FrameType type = FrameType::kData);
+  void transfer(int to, std::span<const uint8_t> out, int from,
+                std::vector<float>& in);
 
   SocketOptions options_;
   int rank_ = 0;
@@ -122,9 +116,6 @@ class SocketComm final : public Communicator {
   // block converges to the largest its rank sends and stays there).
   std::vector<std::vector<float>> blocks_;
   std::vector<std::span<const float>> views_;
-  // A non-root rank's broadcast frame, sized by the frame (not by the
-  // caller's buffer) and forwarded from here; reused across broadcasts.
-  std::vector<float> bcast_block_;
 };
 
 }  // namespace dkfac::comm::net

@@ -430,24 +430,17 @@ size_t transfer_frames(Socket* to, FrameType send_type, uint32_t send_seq,
       recv_pos += static_cast<size_t>(rc);
       if (recv_pos == kFrameHeaderBytes) {
         recv_header = FrameHeader::decode(recv_raw);
-        std::vector<uint8_t>* append = recv_dst.append;
-        const bool fixed = append == nullptr && recv_dst.floats == nullptr;
-        recv_header.check(recv_type, recv_seq,
-                          fixed ? std::optional<size_t>(recv_dst.fixed.size())
-                                : std::nullopt,
-                          what);
-        if (append != nullptr) {
+        recv_header.check(recv_type, recv_seq, std::nullopt, what);
+        if (std::vector<uint8_t>* append = recv_dst.append) {
           const size_t base = append->size();
           append->resize(base + recv_header.length);
           recv_payload = append->data() + base;
-        } else if (recv_dst.floats != nullptr) {
+        } else {
           DKFAC_CHECK(recv_header.length % sizeof(float) == 0)
               << what << ": frame payload of " << recv_header.length
               << " bytes is not whole floats";
           recv_dst.floats->resize(recv_header.length / sizeof(float));
           recv_payload = reinterpret_cast<uint8_t*>(recv_dst.floats->data());
-        } else {
-          recv_payload = recv_dst.fixed.data();
         }
         recv_total += recv_header.length;
       }

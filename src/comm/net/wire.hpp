@@ -44,7 +44,6 @@ enum class FrameType : uint16_t {
   kHello = 1,    // handshake: rendezvous registration / peer identification
   kWelcome = 2,  // rendezvous reply: rank assignment + peer table
   kData = 3,     // collective payload
-  kBarrier = 4,  // barrier token
 };
 
 constexpr size_t kFrameHeaderBytes = 20;
@@ -166,26 +165,22 @@ class ListenSocket {
 // before it receives wedges once payloads exceed the kernel socket buffers.
 // A header leaves with its payload in one sendmsg, straight from the
 // caller's memory; a received header passes FrameHeader::check before any
-// payload byte is read, and the payload lands straight in its destination.
-// One deadline covers the whole call from the moment it starts. faultnet's
-// send hook and then its receive hook run once per call, for the sides it
-// has. The five helpers after it are calls into it. All return the wire
-// bytes moved (headers included, both directions) so callers can account
-// real bytes-on-wire in CommStats.
+// payload byte is read, and the payload lands straight in its destination,
+// sized by the frame. One deadline covers the whole call from the moment it
+// starts. faultnet's send hook and then its receive hook run once per call,
+// for the sides it has. The three helpers after it are calls into it. All
+// return the wire bytes moved (headers included, both directions) so
+// callers can account real bytes-on-wire in CommStats.
 
-/// Where a received payload lands: in place in `fixed`, whose size the
-/// frame's length must equal; appended to *append, whatever its length; or
-/// in *floats, resized to the payload, which must be whole floats.
-/// Implicit, so a span or a vector passes as it is.
+/// Where a received payload lands: appended to *append, whatever its
+/// length; or in *floats, resized to the payload, which must be whole
+/// floats. Implicit, so a vector passes as it is. Only a call that receives
+/// nothing may leave both null.
 struct FrameDst {
   FrameDst() = default;
-  FrameDst(std::span<uint8_t> bytes) : fixed(bytes) {}
-  FrameDst(std::span<float> floats)
-      : fixed(reinterpret_cast<uint8_t*>(floats.data()), floats.size_bytes()) {}
   FrameDst(std::vector<uint8_t>& grow) : append(&grow) {}
   FrameDst(std::vector<float>& resize) : floats(&resize) {}
 
-  std::span<uint8_t> fixed;
   std::vector<uint8_t>* append = nullptr;
   std::vector<float>* floats = nullptr;
 };
@@ -231,50 +226,23 @@ inline size_t send_frame(Socket& sock, FrameType type, uint32_t seq,
                     timeout_s);
 }
 
-/// Receives one frame whose payload length must equal `payload.size()`
-/// into `payload`.
-inline size_t recv_frame_into(Socket& sock, FrameType type, uint32_t seq,
-                              std::span<uint8_t> payload, double timeout_s) {
-  return transfer_frames(nullptr, type, 0, {}, &sock, type, seq, payload,
-                         timeout_s);
-}
-inline size_t recv_frame_into(Socket& sock, FrameType type, uint32_t seq,
-                              std::span<float> payload, double timeout_s) {
-  return transfer_frames(nullptr, type, 0, {}, &sock, type, seq, payload,
-                         timeout_s);
-}
-
-/// Receives one frame of unknown payload length and appends its payload
-/// to `out`.
+/// Receives one frame of unknown payload length into `out`.
 inline size_t recv_frame(Socket& sock, FrameType type, uint32_t seq,
-                         std::vector<uint8_t>& out, double timeout_s) {
+                         FrameDst out, double timeout_s) {
   return transfer_frames(nullptr, type, 0, {}, &sock, type, seq, out,
                          timeout_s);
 }
 
-/// Full duplex: sends one frame to `to` while receiving one from `from`,
-/// whose payload is appended to `in_out`.
+/// Full duplex: sends one frame to `to` while receiving one from `from`
+/// into `in`.
 inline size_t exchange_frames(Socket& to, FrameType send_type,
                               uint32_t send_seq,
                               std::span<const uint8_t> send_payload,
                               Socket& from, FrameType recv_type,
-                              uint32_t recv_seq, std::vector<uint8_t>& in_out,
+                              uint32_t recv_seq, FrameDst in,
                               double timeout_s) {
   return transfer_frames(&to, send_type, send_seq, send_payload, &from,
-                         recv_type, recv_seq, in_out, timeout_s);
-}
-
-/// exchange_frames with a fixed-size receive: the incoming payload length
-/// must equal `recv_payload.size()` and lands in it.
-inline size_t exchange_frames_into(Socket& to, FrameType send_type,
-                                   uint32_t send_seq,
-                                   std::span<const uint8_t> send_payload,
-                                   Socket& from, FrameType recv_type,
-                                   uint32_t recv_seq,
-                                   std::span<uint8_t> recv_payload,
-                                   double timeout_s) {
-  return transfer_frames(&to, send_type, send_seq, send_payload, &from,
-                         recv_type, recv_seq, recv_payload, timeout_s);
+                         recv_type, recv_seq, in, timeout_s);
 }
 
 // ---- little-endian payload builders --------------------------------------

@@ -1,6 +1,5 @@
 #include "comm/thread_comm.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <thread>
 
@@ -16,20 +15,6 @@ Communicator::Views ThreadComm::exchange(std::span<const float> send) {
   st.slots[static_cast<size_t>(rank_)] = send;
   st.barrier.arrive_and_wait();
   return st.slots;
-}
-
-void ThreadComm::do_broadcast(std::span<float> data, int root) {
-  auto& st = *state_;
-  if (rank_ == root) st.slots[static_cast<size_t>(root)] = data;
-  st.barrier.arrive_and_wait();
-  const std::span<const float> src = st.slots[static_cast<size_t>(root)];
-  const bool fits = src.size() == data.size();
-  if (rank_ != root && fits) std::copy(src.begin(), src.end(), data.begin());
-  // A mis-sized rank throws only after the second barrier, so the root
-  // and the other ranks are not left waiting for it.
-  st.barrier.arrive_and_wait();
-  DKFAC_CHECK(fits) << "broadcast length mismatch: root sent " << src.size()
-                    << ", rank " << rank_ << " expected " << data.size();
 }
 
 LocalGroup::LocalGroup(int size)

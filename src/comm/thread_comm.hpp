@@ -4,10 +4,10 @@
 // synchronisation point, contributions are combined in rank order (so runs
 // are bit-reproducible regardless of thread scheduling), and each rank owns
 // its Communicator object. ThreadComm is only a transport (see
-// communicator.hpp): ranks publish views of their buffers in shared slots
-// and read each other's in place. Its exchange, broadcast and barrier all
-// wait in one detail::Barrier: an exchange twice (publish, then release at
-// end_exchange), a broadcast twice, a barrier once.
+// communicator.hpp): its exchange publishes a view of each rank's buffer in
+// a shared slot, and ranks read each other's in place. Every collective
+// is one exchange and waits in one detail::Barrier twice: once to publish,
+// once to release at end_exchange.
 #pragma once
 
 #include <condition_variable>
@@ -79,8 +79,6 @@ class ThreadComm final : public Communicator {
  protected:
   Views exchange(std::span<const float> send) override;
   void end_exchange() override { state_->barrier.arrive_and_wait(); }
-  void do_broadcast(std::span<float> data, int root) override;
-  void do_barrier() override { state_->barrier.arrive_and_wait(); }
 
  private:
   friend class LocalGroup;

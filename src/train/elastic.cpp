@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -36,7 +37,8 @@ constexpr uint32_t kElasticVersion = 2;
 constexpr size_t kHeaderBytes = 4 + sizeof(uint32_t) + sizeof(uint64_t);
 constexpr size_t kFooterBytes = 4 + sizeof(uint32_t);
 
-/// SIGTERM → SIGKILL grace when the supervisor gives up on a group.
+/// SIGTERM → SIGKILL grace when the supervisor stops what is left of a
+/// group.
 constexpr double kTermGraceSeconds = 2.0;
 
 /// Runaway guard on cooperative regrow re-formations per child: the
@@ -526,31 +528,52 @@ ElasticResult run_elastic(const ModelFactory& factory,
     }
   };
 
+  // Reaps until no child is alive or `grace_s` has passed.
+  auto reap_for = [&](double grace_s) {
+    const auto start = Clock::now();
+    while (alive_count() > 0 && seconds_since(start) < grace_s) {
+      reap();
+      if (alive_count() > 0) ::usleep(10000);
+    }
+  };
+  auto signal_all = [&](int sig) {
+    for (const Slot& slot : slots) {
+      if (slot.pid > 0) ::kill(slot.pid, sig);
+    }
+  };
+  // SIGTERM every live child, then SIGKILL those left after the grace.
+  auto stop_all = [&] {
+    signal_all(SIGTERM);
+    reap_for(kTermGraceSeconds);
+    signal_all(SIGKILL);
+    reap_for(std::numeric_limits<double>::infinity());
+  };
+
   int last_formed_world = 0;
   auto last_nudge = Clock::now();
   while (true) {
     reap();
     spawn_due();
     if (alive_count() == 0 && pending_count() == 0) break;
+    if (job_completed) {
+      // The finishing generation exits on its own, rank 0 last: it
+      // publishes the result after its peers have exited, and their clean
+      // exits are no loss. No generation forms after one. Once the result
+      // exists, rank 0 exits right after it; whatever is left then (a
+      // joiner parked at the rendezvous) has nothing to join.
+      if (std::ifstream(result_path).is_open()) {
+        reap_for(kTermGraceSeconds);
+        stop_all();
+        break;
+      }
+      ::usleep(10000);
+      continue;
+    }
     if (alive_count() + pending_count() < options.min_ranks) {
       DKFAC_LOG_WARN << "elastic: only " << alive_count()
                      << " ranks remain (min " << options.min_ranks
                      << ", no respawn budget left) — terminating the job";
-      for (const Slot& slot : slots) {
-        if (slot.pid > 0) ::kill(slot.pid, SIGTERM);
-      }
-      const auto term_at = Clock::now();
-      while (alive_count() > 0 && seconds_since(term_at) < kTermGraceSeconds) {
-        reap();
-        if (alive_count() > 0) ::usleep(10000);
-      }
-      for (const Slot& slot : slots) {
-        if (slot.pid > 0) ::kill(slot.pid, SIGKILL);
-      }
-      while (alive_count() > 0) {
-        reap();
-        if (alive_count() > 0) ::usleep(10000);
-      }
+      stop_all();
       break;
     }
     try {

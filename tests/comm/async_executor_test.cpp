@@ -266,8 +266,6 @@ class FailingComm final : public Communicator {
     return views_;
   }
   void end_exchange() override {}
-  void do_broadcast(std::span<float>, int) override {}
-  void do_barrier() override {}
 
  private:
   int remaining_;
@@ -316,8 +314,6 @@ TEST(AsyncExecutor, OverlapsCommunicationWithMainThreadCompute) {
       return views_;
     }
     void end_exchange() override {}
-    void do_broadcast(std::span<float>, int) override {}
-    void do_barrier() override {}
 
    private:
     std::vector<std::span<const float>> views_;

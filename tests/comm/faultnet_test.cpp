@@ -130,10 +130,9 @@ TEST_F(Faultnet, BitflipYieldsTypedChecksumErrorDeterministically) {
     auto [a, b] = socket_pair();
     send_frame(a, FrameType::kData, /*seq=*/0,
                std::span<const float>(payload), 1.0);
-    std::vector<float> got(payload.size());
+    std::vector<float> got;
     try {
-      recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(got),
-                      1.0);
+      recv_frame(b, FrameType::kData, /*seq=*/0, got, 1.0);
       FAIL() << "bit-flipped frame was accepted";
     } catch (const Error& e) {
       errors.emplace_back(e.what());
@@ -175,11 +174,9 @@ TEST_F(Faultnet, ResetOnSendIsTypedOnBothEnds) {
     EXPECT_EQ(faultnet::counts().resets, 1u);
     // The peer's read sees the shutdown as a prompt typed error, not a hang.
     faultnet::clear();
-    std::vector<float> got(payload.size());
+    std::vector<float> got;
     const auto start = Clock::now();
-    EXPECT_THROW(recv_frame_into(b, FrameType::kData, /*seq=*/0,
-                                 std::span<float>(got), 1.0),
-                 Error);
+    EXPECT_THROW(recv_frame(b, FrameType::kData, /*seq=*/0, got, 1.0), Error);
     EXPECT_LT(seconds_since(start), 2.0);
   }
 }
@@ -192,11 +189,9 @@ TEST_F(Faultnet, ResetOnRecvIsTyped) {
   auto [a, b] = socket_pair();
   (void)a;  // live but silent peer
   faultnet::install(faultnet::parse_plan("op=recv,action=reset"));
-  std::vector<float> got(16);
+  std::vector<float> got;
   const auto start = Clock::now();
-  EXPECT_THROW(recv_frame_into(b, FrameType::kData, /*seq=*/0,
-                               std::span<float>(got), 5.0),
-               Error);
+  EXPECT_THROW(recv_frame(b, FrameType::kData, /*seq=*/0, got, 5.0), Error);
   EXPECT_LT(seconds_since(start), 2.0);
   EXPECT_EQ(faultnet::counts().resets, 1u);
 }
@@ -222,11 +217,9 @@ TEST_F(Faultnet, ShortWriteIsTypedOnBothEnds) {
     // The receiver sees a truncated stream ending in a shutdown — a typed
     // rejection within its deadline, never an accepted frame.
     faultnet::clear();
-    std::vector<float> got(payload.size());
+    std::vector<float> got;
     const auto start = Clock::now();
-    EXPECT_THROW(recv_frame_into(b, FrameType::kData, /*seq=*/0,
-                                 std::span<float>(got), 2.0),
-                 Error);
+    EXPECT_THROW(recv_frame(b, FrameType::kData, /*seq=*/0, got, 2.0), Error);
     EXPECT_LT(seconds_since(start), 2.5);
   }
 }
@@ -239,18 +232,16 @@ TEST_F(Faultnet, StallDelaysButNeverHangs) {
   faultnet::install(
       faultnet::parse_plan("op=recv,action=stall,arg=0.3,times=100"));
   // The frame is already queued: the stall only delays its delivery.
-  std::vector<float> got(payload.size());
+  std::vector<float> got;
   auto start = Clock::now();
-  recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(got), 5.0);
+  recv_frame(b, FrameType::kData, /*seq=*/0, got, 5.0);
   EXPECT_GE(seconds_since(start), 0.25);
   EXPECT_EQ(got, payload);
   EXPECT_GE(faultnet::counts().stalls, 1u);
   // A stalled receive against a silent peer still resolves as a typed
   // timeout within its deadline + stall — a delay, never a hang.
   start = Clock::now();
-  EXPECT_THROW(recv_frame_into(b, FrameType::kData, /*seq=*/1,
-                               std::span<float>(got), 0.2),
-               Error);
+  EXPECT_THROW(recv_frame(b, FrameType::kData, /*seq=*/1, got, 0.2), Error);
   EXPECT_LT(seconds_since(start), 2.0);
 }
 
@@ -284,8 +275,8 @@ TEST_F(Faultnet, RulesGateOnRankAndTrainingContext) {
   const std::vector<float> payload = test_payload(8);
   send_frame(a, FrameType::kData, /*seq=*/0, std::span<const float>(payload),
              1.0);
-  std::vector<float> got(payload.size());
-  recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(got), 1.0);
+  std::vector<float> got;
+  recv_frame(b, FrameType::kData, /*seq=*/0, got, 1.0);
   EXPECT_EQ(got, payload);
   EXPECT_EQ(faultnet::counts().total, 0u);
 
@@ -325,8 +316,8 @@ TEST_F(Faultnet, NthSelectsTheExactOccurrence) {
                           std::span<const float>(payload), 1.0),
                Error);
   EXPECT_EQ(faultnet::counts().resets, 1u);
-  std::vector<float> got(payload.size());
-  recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(got), 1.0);
+  std::vector<float> got;
+  recv_frame(b, FrameType::kData, /*seq=*/0, got, 1.0);
   EXPECT_EQ(got, payload);
 }
 

@@ -145,8 +145,6 @@ class FlakyComm final : public Communicator {
     return views_;
   }
   void end_exchange() override {}
-  void do_broadcast(std::span<float>, int) override {}
-  void do_barrier() override {}
 
  private:
   bool failed_once_ = false;

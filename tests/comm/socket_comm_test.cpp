@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <thread>
 #include <vector>
 
@@ -237,31 +238,74 @@ TEST(SocketComm, MisSizedAllreduceThrowsOnEveryRank) {
   }
 }
 
-TEST(SocketComm, MisSizedBroadcastKeepsTheWireInStep) {
-  // Root 0 sends 5 floats and one rank expects 3: that rank throws, every
-  // other rank gets the root's data, and a following allreduce succeeds on
-  // every rank. On 3 ranks the mis-sized rank 1 is a leaf of the binomial
-  // tree; on 4 ranks rank 2 must still forward the root's block to rank 3.
-  for (const auto [ranks, mis_sized] : {std::pair{3, 1}, std::pair{4, 2}}) {
-    const int status = run_ranks_checked(ranks, [&](Communicator& comm) {
-      const std::vector<float> sent = contribution(0, 5);
-      const bool wrong = comm.rank() == mis_sized;
-      std::vector<float> data =
-          comm.rank() == 0 ? sent : std::vector<float>(wrong ? 3 : 5, -1.0f);
-      if (wrong) {
-        EXPECT_THROW(comm.broadcast(data, /*root=*/0), Error);
-      } else {
-        comm.broadcast(data, /*root=*/0);
-        expect_bitwise_equal(data, sent, "broadcast");
-      }
-      std::vector<float> after(2, 1.0f);
-      comm.allreduce(after, ReduceOp::kSum);
-      EXPECT_EQ(after[0], static_cast<float>(ranks));
-      EXPECT_EQ(after[1], static_cast<float>(ranks));
-    });
-    EXPECT_EQ(status, 0) << ranks << " ranks, rank " << mis_sized
-                         << " mis-sized";
+/// Runs `fn` on every rank of a thread group (LocalGroup) and then of a
+/// forked socket group, at each size.
+void on_both_backends(std::initializer_list<int> sizes,
+                      const std::function<void(Communicator&)>& fn) {
+  for (const int p : sizes) {
+    LocalGroup group(p);
+    group.run([&fn](int, Communicator& comm) { fn(comm); });
+    EXPECT_EQ(run_ranks_checked(p, fn), 0) << p << " socket ranks";
   }
+}
+
+/// After a mismatched collective every rank has left it in step: a
+/// 2-float allreduce returns p on every rank.
+void expect_next_allreduce_in_step(Communicator& comm) {
+  std::vector<float> after(2, 1.0f);
+  comm.allreduce(after, ReduceOp::kSum);
+  EXPECT_EQ(after[0], static_cast<float>(comm.size())) << "rank " << comm.rank();
+  EXPECT_EQ(after[1], static_cast<float>(comm.size())) << "rank " << comm.rank();
+}
+
+/// Root 0 sends 5 floats and rank p/2 expects 3: that rank throws, every
+/// other rank gets the root's data, and a following allreduce succeeds on
+/// every rank.
+void mis_sized_broadcast(Communicator& comm) {
+  const std::vector<float> sent = contribution(0, 5);
+  const bool wrong = comm.rank() == comm.size() / 2;
+  std::vector<float> data =
+      comm.rank() == 0 ? sent : std::vector<float>(wrong ? 3 : 5, -1.0f);
+  if (wrong) {
+    EXPECT_THROW(comm.broadcast(data, /*root=*/0), Error);
+  } else {
+    comm.broadcast(data, /*root=*/0);
+    expect_bitwise_equal(data, sent, "broadcast");
+  }
+  expect_next_allreduce_in_step(comm);
+}
+
+TEST(SocketComm, MisSizedBroadcastKeepsTheWireInStep) {
+  // A broadcast is one exchange in which only the root's block is
+  // non-empty, and every rank receives every block whole whatever its own
+  // length. On 4 ranks the root's block reaches rank 3 through the
+  // mis-sized rank 2. The thread backend runs the same cases.
+  on_both_backends({3, 4}, mis_sized_broadcast);
+}
+
+TEST(Communicator, BarrierAgainstAllreduceThrowsOnEveryRank) {
+  // Rank 0 is in a barrier, its peers in an allreduce of 4 floats: one
+  // exchange with an empty block and p-1 blocks of 4, which neither call
+  // accepts.
+  on_both_backends({2, 3}, [](Communicator& comm) {
+    if (comm.rank() == 0) {
+      EXPECT_THROW(comm.barrier(), Error);
+    } else {
+      std::vector<float> data(4, 1.0f);
+      EXPECT_THROW(comm.allreduce(data, ReduceOp::kSum), Error);
+    }
+    expect_next_allreduce_in_step(comm);
+  });
+}
+
+TEST(Communicator, BroadcastWithDisagreeingRootsThrowsOnEveryRank) {
+  // Every rank names itself the root, so every rank sees a non-empty block
+  // from a rank it does not take for the root.
+  on_both_backends({2, 3}, [](Communicator& comm) {
+    std::vector<float> data(4, static_cast<float>(comm.rank()));
+    EXPECT_THROW(comm.broadcast(data, /*root=*/comm.rank()), Error);
+    expect_next_allreduce_in_step(comm);
+  });
 }
 
 /// Runs each collective once; each call must add exactly one span

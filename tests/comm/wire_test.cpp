@@ -67,18 +67,17 @@ TEST(Wire, FrameRoundTrip) {
                                      std::span<const float>(sent), 1.0);
   EXPECT_EQ(wire_out, kFrameHeaderBytes + sent.size() * sizeof(float));
 
-  std::vector<float> got(sent.size(), 0.0f);
-  const size_t wire_in =
-      recv_frame_into(b, FrameType::kData, /*seq=*/7, std::span<float>(got), 1.0);
+  std::vector<float> got;
+  const size_t wire_in = recv_frame(b, FrameType::kData, /*seq=*/7, got, 1.0);
   EXPECT_EQ(wire_in, wire_out);
   EXPECT_EQ(got, sent);
 }
 
 TEST(Wire, ZeroLengthFrame) {
   auto [a, b] = socket_pair();
-  send_frame(a, FrameType::kBarrier, /*seq=*/0, std::span<const float>{}, 1.0);
+  send_frame(a, FrameType::kData, /*seq=*/0, std::span<const float>{}, 1.0);
   std::vector<uint8_t> out;
-  EXPECT_EQ(recv_frame(b, FrameType::kBarrier, /*seq=*/0, out, 1.0),
+  EXPECT_EQ(recv_frame(b, FrameType::kData, /*seq=*/0, out, 1.0),
             kFrameHeaderBytes);
   EXPECT_TRUE(out.empty());
 }
@@ -107,9 +106,9 @@ TEST(Wire, ChecksumMismatchThrows) {
   h.encode(raw);
   send_raw(a, raw, kFrameHeaderBytes);
   send_raw(a, payload.data(), payload.size() * sizeof(float));
-  std::vector<float> got(payload.size());
+  std::vector<float> got;
   try {
-    recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(got), 1.0);
+    recv_frame(b, FrameType::kData, /*seq=*/0, got, 1.0);
     FAIL() << "corrupted frame accepted";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos);
@@ -148,9 +147,9 @@ TEST(Wire, SequenceMismatchThrows) {
   auto [a, b] = socket_pair();
   const std::vector<float> payload = test_payload(4);
   send_frame(a, FrameType::kData, /*seq=*/5, std::span<const float>(payload), 1.0);
-  std::vector<float> got(payload.size());
+  std::vector<float> got;
   try {
-    recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(got), 1.0);
+    recv_frame(b, FrameType::kData, /*seq=*/0, got, 1.0);
     FAIL() << "desynchronised frame accepted";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("sequence"), std::string::npos);
@@ -159,28 +158,29 @@ TEST(Wire, SequenceMismatchThrows) {
 
 TEST(Wire, TypeMismatchThrows) {
   auto [a, b] = socket_pair();
-  send_frame(a, FrameType::kBarrier, /*seq=*/0, std::span<const float>{}, 1.0);
+  send_frame(a, FrameType::kHello, /*seq=*/0, std::span<const float>{}, 1.0);
   std::vector<uint8_t> out;
   EXPECT_THROW(recv_frame(b, FrameType::kData, /*seq=*/0, out, 1.0), Error);
 }
 
 TEST(Wire, LengthMismatchThrows) {
-  auto [a, b] = socket_pair();
-  const std::vector<float> payload = test_payload(8);
-  send_frame(a, FrameType::kData, /*seq=*/0, std::span<const float>(payload), 1.0);
-  std::vector<float> got(4);  // expects half of what the peer sent
-  EXPECT_THROW(
-      recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(got), 1.0),
-      Error);
+  // A receive of a known length (the rendezvous hello) checks it in the
+  // header, before any payload byte is read.
+  FrameHeader h;
+  h.type = static_cast<uint16_t>(FrameType::kData);
+  h.length = 8 * sizeof(float);
+  // Expects half of what the peer sent.
+  EXPECT_THROW(h.check(FrameType::kData, /*seq=*/0, 4 * sizeof(float), "recv"),
+               Error);
 }
 
 TEST(Wire, RecvTimeoutThrowsQuickly) {
   auto [a, b] = socket_pair();
   (void)a;  // never sends
-  std::vector<float> got(4);
+  std::vector<float> got;
   const auto start = Clock::now();
   try {
-    recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(got), 0.2);
+    recv_frame(b, FrameType::kData, /*seq=*/0, got, 0.2);
     FAIL() << "recv on a silent peer returned";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos);
@@ -217,30 +217,29 @@ TEST(Wire, FrameHasOneDeadline) {
     EXPECT_LT(seconds_since(start), 1.3 * kT) << route;
     late.join();
   };
-  std::vector<float> got(payload.size());
-  expect_timeout_by_deadline("recv_frame_into", [&](Socket& from) {
-    recv_frame_into(from, FrameType::kData, /*seq=*/0, std::span<float>(got), kT);
+  // Both routes receive into a float vector, the destination
+  // SocketComm::exchange uses.
+  std::vector<float> got;
+  expect_timeout_by_deadline("recv_frame", [&](Socket& from) {
+    recv_frame(from, FrameType::kData, /*seq=*/0, got, kT);
   });
   // The exchange's send side goes to a separate live pair, so only its
   // receive side can time out.
   std::pair<Socket, Socket> live = socket_pair();
-  expect_timeout_by_deadline("exchange_frames_into", [&](Socket& from) {
-    exchange_frames_into(
-        live.first, FrameType::kData, /*send_seq=*/0,
-        {reinterpret_cast<const uint8_t*>(payload.data()),
-         payload.size() * sizeof(float)},
-        from, FrameType::kData, /*recv_seq=*/0,
-        {reinterpret_cast<uint8_t*>(got.data()), got.size() * sizeof(float)},
-        kT);
+  expect_timeout_by_deadline("exchange_frames", [&](Socket& from) {
+    exchange_frames(live.first, FrameType::kData, /*send_seq=*/0,
+                    {reinterpret_cast<const uint8_t*>(payload.data()),
+                     payload.size() * sizeof(float)},
+                    from, FrameType::kData, /*recv_seq=*/0, got, kT);
   });
 }
 
 TEST(Wire, PeerCloseThrows) {
   auto [a, b] = socket_pair();
   a.close();
-  std::vector<float> got(4);
+  std::vector<float> got;
   try {
-    recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(got), 1.0);
+    recv_frame(b, FrameType::kData, /*seq=*/0, got, 1.0);
     FAIL() << "recv from a dead peer returned";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("closed"), std::string::npos);
@@ -280,8 +279,8 @@ TEST(Wire, ExchangeFullDuplexSingleThreaded) {
   ASSERT_EQ(got.size(), from_b.size() * sizeof(float));
   EXPECT_EQ(std::memcmp(got.data(), from_b.data(), got.size()), 0);
 
-  std::vector<float> b_got(from_a.size());
-  recv_frame_into(b, FrameType::kData, /*seq=*/0, std::span<float>(b_got), 1.0);
+  std::vector<float> b_got;
+  recv_frame(b, FrameType::kData, /*seq=*/0, b_got, 1.0);
   EXPECT_EQ(b_got, from_a);
 }
 
@@ -315,9 +314,10 @@ std::vector<uint8_t> canonical_frame(std::span<const float> payload,
 /// Writes `stream` to a fresh connection, closes the sender, and expects
 /// the frame receive to surface a typed dkfac::Error — never success, a
 /// hang, or a foreign exception (which would propagate and fail the test).
-/// Each stream goes through both receive routes: recv_frame and the
-/// receive side of exchange_frames, whose send side goes to a separate
-/// live pair so a rejection can only come from the receive.
+/// Each stream goes through both receive routes: recv_frame into a byte
+/// vector, and the receive side of exchange_frames into a float vector (the
+/// destination SocketComm::exchange uses), whose send side goes to a
+/// separate live pair so a rejection can only come from the receive.
 void expect_typed_rejection(const std::vector<uint8_t>& stream,
                             const std::string& what) {
   const std::vector<float> outgoing = test_payload(3);
@@ -329,15 +329,16 @@ void expect_typed_rejection(const std::vector<uint8_t>& stream,
     // immediate peer-close error instead of a timeout wait.
     sender.close();
     const std::string route = what + (exchange ? " (exchange)" : " (recv)");
-    std::vector<uint8_t> got;
     const auto start = Clock::now();
     try {
       if (exchange) {
+        std::vector<float> got;
         exchange_frames(out, FrameType::kData, /*send_seq=*/0,
                         {reinterpret_cast<const uint8_t*>(outgoing.data()),
                          outgoing.size() * sizeof(float)},
                         receiver, FrameType::kData, /*recv_seq=*/9, got, 2.0);
       } else {
+        std::vector<uint8_t> got;
         recv_frame(receiver, FrameType::kData, /*seq=*/9, got, 2.0);
       }
       ADD_FAILURE() << route << ": mutated frame was accepted";

@@ -143,6 +143,32 @@ TEST(ElasticTrain, FailsCleanlyBelowMinRanks) {
   EXPECT_NE(result.exit_code, 0);
 }
 
+TEST(ElasticTrain, SlowRankZeroStillPublishesAfterPeersExit) {
+  // Forked — keep before the OpenMP cases. Rank 0 finishes last: it runs
+  // on_trained_model and publishes the result after its peers have exited
+  // cleanly. Those exits leave one rank alive, below min_ranks, but they
+  // are no loss: the supervisor must let rank 0 finish and publish, not
+  // terminate the job.
+  const std::string dir = ::testing::TempDir();
+  TrainConfig config = tiny_config();
+  config.epochs = 1;
+  config.on_trained_model = [](nn::Layer&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  };
+  elastic::ElasticOptions opts;
+  opts.initial_ranks = 3;
+  opts.min_ranks = 2;
+  opts.comm_timeout_s = 10.0;
+  opts.rendezvous_timeout_s = 20.0;
+  opts.checkpoint_path = dir + "dkfac_elastic_slow_rank0.ckpt";
+  std::remove(opts.checkpoint_path.c_str());
+  const elastic::ElasticResult result =
+      elastic::run_elastic(tiny_cnn_factory(), tiny_spec(), config, opts);
+  ASSERT_TRUE(result.completed) << "exit code " << result.exit_code;
+  EXPECT_EQ(result.reformations, 0);
+  EXPECT_EQ(result.final_world, 3);
+}
+
 TEST(ElasticRegrow, KilledRankIsReplacedAndWorldGrowsBack) {
   // Scale-up headline (forked — keep before the OpenMP cases): rank 2
   // SIGKILLs itself mid-epoch, and with a respawn budget the supervisor
